@@ -2,14 +2,17 @@
 
 ``python -m repro bench`` times every registered memory system twice
 over the same workload — once with the reference tick loop
-(``sim_mode="tick"``) and once with the default fast path
+(``sim_mode="tick"``) and once with the object backend's fast path
 (``sim_mode="precompute"``: the event-driven skip loop plus
 broadcast-time hit schedules; the report's ``skip_*`` keys, kept for
 metric continuity) — and reports simulated-cycles-per-second for each
 mode plus the fast-vs-tick wall-clock speedup.  The workload is the
 stride-19 slice of the section-6.2 evaluation grid (every kernel x
 every alignment), the densest bank-conflict case in the paper and the
-headline configuration tracked in ``BENCH_sim.json``.
+headline configuration tracked in ``BENCH_sim.json``.  The default
+backend, ``sim_mode="soa"`` (the structure-of-arrays bank automaton),
+and ``sim_mode="window"`` are timed against the same slice in sections
+of their own.
 
 Every report carries the resolved canonical config document
 (``config``/``config_key``, from :meth:`GenParams.to_dict`) and the

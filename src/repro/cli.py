@@ -118,7 +118,7 @@ class _MetricsLine(EngineHooks):
             f"in {metrics.elapsed_seconds:.2f}s — "
             f"{metrics.points_per_second:.1f} points/s, "
             f"{metrics.jobs} job{'s' if metrics.jobs != 1 else ''}"
-            f"{throughput}{resilience}",
+            f"{throughput}{resilience}{metrics.fallback_note()}",
             file=sys.stderr,
         )
         service_counters = [

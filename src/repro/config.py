@@ -72,8 +72,10 @@ __all__ = [
 #: geometry join the schema; the legacy ``time_skip``/``precompute``
 #: aliases leave it.  v5: ``"window"`` joins the ``sim_mode`` ladder —
 #: cached result documents record the producing mode, so the enum
-#: widening must invalidate them.
-CONFIG_SCHEMA_VERSION = 5
+#: widening must invalidate them.  v6: the default ``sim_mode`` moves
+#: from ``"precompute"`` to ``"soa"``, which moves the canonical
+#: document of every default-built config.
+CONFIG_SCHEMA_VERSION = 6
 
 #: The five simulation backends, from slowest/most-literal to fastest.
 #: Each mode is bit-exact with the others (``RunResult`` equality is
@@ -83,8 +85,11 @@ CONFIG_SCHEMA_VERSION = 5
 #: * ``"tick"`` — reference loop, every component ticked every cycle.
 #: * ``"skip"`` — next-event time skipping, incremental FirstHit expansion.
 #: * ``"precompute"`` — time skipping + broadcast-time hit schedules.
-#: * ``"soa"`` — precompute + the structure-of-arrays bank automaton:
-#:   all banks stepped as flat-array operations (:mod:`repro.pva.soa`).
+#: * ``"soa"`` (the default) — precompute + the structure-of-arrays
+#:   bank automaton: all banks stepped as flat-array operations
+#:   (:mod:`repro.pva.soa`).  Runs it cannot take (attached command
+#:   logs, exotic devices) fall back to the object backend, and say so
+#:   in :attr:`RunResult.backend <repro.sim.stats.RunResult.backend>`.
 #: * ``"window"`` — soa + closed-form broadcast-window resolution:
 #:   whole per-bank service chains charged arithmetically from the
 #:   precomputed hit schedules instead of event-stepped
@@ -327,10 +332,11 @@ class GenParams:
     #: Minimum cycles between vector-command issues from the front end.
     #: 0 models the paper's infinitely fast CPU (section 6.2).
     issue_interval: int = 0
-    #: Simulation backend — one of :data:`SIM_MODES`.  Always stores the
-    #: concrete label (the ``REPRO_SIM_MODE`` environment variable, when
-    #: set to a mode name, overrides it wholesale at construction).
-    sim_mode: str = "precompute"
+    #: Simulation backend — one of :data:`SIM_MODES`, by default the
+    #: SoA bank automaton.  Always stores the concrete label (the
+    #: ``REPRO_SIM_MODE`` environment variable, when set to a mode name,
+    #: overrides it wholesale at construction).
+    sim_mode: str = "soa"
 
     def __post_init__(self) -> None:
         if not isinstance(self.topology, Topology):

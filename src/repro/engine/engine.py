@@ -92,6 +92,15 @@ def execute_point_timed(
     simulated-cycles-per-second throughput.  ``attribution`` is the
     kernel's per-component busy/stalled/idle ledger as plain dicts
     (JSON- and pickle-safe), or None for a system that predates it."""
+    return _simulate_point(point)[:3]
+
+
+def _simulate_point(
+    point: ExperimentPoint,
+) -> Tuple[int, float, Optional[Dict[str, Dict[str, int]]], Optional[str]]:
+    """:func:`execute_point_timed` plus the run's
+    :attr:`RunResult.backend <repro.sim.stats.RunResult.backend>` — the
+    engine's own execution path (inline and in pool workers)."""
     started = time.perf_counter()
     trace = build_point_trace(point)
     system = build_system(point.system, point.params)
@@ -100,6 +109,7 @@ def execute_point_timed(
         result.cycles,
         time.perf_counter() - started,
         result.attribution_summary(),
+        result.backend,
     )
 
 
@@ -151,15 +161,17 @@ class _Task:
 
 #: One streamed execution outcome: exactly one of ``cycles`` / ``failure``
 #: is set; ``sim_seconds`` is the executing worker's wall clock for the
-#: point and ``attribution`` its per-component cycle ledger (both None on
-#: failure); ``error`` carries the original exception object when there
-#: is one to re-raise in ``on_error="raise"`` mode.
+#: point, ``attribution`` its per-component cycle ledger and ``backend``
+#: the bank backend that stepped it (all None on failure); ``error``
+#: carries the original exception object when there is one to re-raise
+#: in ``on_error="raise"`` mode.
 _Outcome = Tuple[
     str,
     ExperimentPoint,
     Optional[int],
     Optional[float],
     Optional[Dict[str, Dict[str, int]]],
+    Optional[str],
     Optional[PointFailure],
     Optional[BaseException],
 ]
@@ -314,6 +326,7 @@ class ExperimentEngine:
                 cycles,
                 seconds,
                 attribution,
+                backend,
                 failure,
                 error,
             ) in self._execute(pending, abort):
@@ -337,6 +350,7 @@ class ExperimentEngine:
                     if seconds is not None:
                         metrics.sim_seconds += seconds
                     metrics.record_attribution(attribution)
+                    metrics.record_backend(backend)
                     for position, index in enumerate(indices):
                         results[index] = cycles
                         metrics.points_done += 1
@@ -417,8 +431,7 @@ class ExperimentEngine:
         while True:
             attempts += 1
             try:
-                cycles, seconds, attribution = execute_point_timed(point)
-                return key, point, cycles, seconds, attribution, None, None
+                return (key, point, *_simulate_point(point), None, None)
             except Exception as error:
                 if self.retry.should_retry(attempts):
                     self.metrics.retries += 1
@@ -427,7 +440,7 @@ class ExperimentEngine:
                         time.sleep(delay)
                     continue
                 failure = self._failure_from(point, error, attempts)
-                return key, point, None, None, None, failure, error
+                return key, point, None, None, None, None, failure, error
 
     # ------------------------------------------------------------- #
     # Pool execution
@@ -484,7 +497,7 @@ class ExperimentEngine:
                         progressed = True
                         del live[task_id]
                         try:
-                            cycles, seconds, attribution = (
+                            cycles, seconds, attribution, backend = (
                                 task.async_result.get()
                             )
                         except Exception as error:
@@ -502,6 +515,7 @@ class ExperimentEngine:
                                 None,
                                 None,
                                 None,
+                                None,
                                 self._failure_from(
                                     task.point, error, task.attempts
                                 ),
@@ -514,6 +528,7 @@ class ExperimentEngine:
                             cycles,
                             seconds,
                             attribution,
+                            backend,
                             None,
                             None,
                         )
@@ -537,6 +552,7 @@ class ExperimentEngine:
                         yield (
                             task.key,
                             task.point,
+                            None,
                             None,
                             None,
                             None,
@@ -573,7 +589,7 @@ class ExperimentEngine:
             if ready is None or not ready.ready():
                 continue
             try:
-                cycles, seconds, attribution = ready.get(0)
+                cycles, seconds, attribution, backend = ready.get(0)
             except Exception:
                 continue
             yield (
@@ -582,6 +598,7 @@ class ExperimentEngine:
                 cycles,
                 seconds,
                 attribution,
+                backend,
                 None,
                 None,
             )
@@ -617,7 +634,7 @@ class ExperimentEngine:
         """Start one attempt of ``task``; False if the pool is broken."""
         try:
             async_result = pool.apply_async(
-                execute_point_timed, (task.point,)
+                _simulate_point, (task.point,)
             )
         except Exception:
             return False

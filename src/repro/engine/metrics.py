@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.sim.stats import FALLBACK_PREFIX
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.resilience import PointFailure
     from repro.engine.spec import ExperimentPoint
@@ -65,6 +67,38 @@ class EngineMetrics:
     #: Aggregated per-component cycle attribution across unique
     #: executions (component name -> busy/stalled/idle cycle totals).
     component_cycles: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: Unique executions per bank backend label (``RunResult.backend``:
+    #: ``"soa"``, ``"object: <fallback reason>"``, ...).
+    backends: Dict[str, int] = field(default_factory=dict)
+
+    def record_backend(self, backend: Optional[str]) -> None:
+        """Count one execution's backend (None: an analytic baseline)."""
+        if backend is not None:
+            self.backends[backend] = self.backends.get(backend, 0) + 1
+
+    def _fallback_counts(self) -> Dict[str, int]:
+        return {
+            backend[len(FALLBACK_PREFIX):]: count
+            for backend, count in self.backends.items()
+            if backend.startswith(FALLBACK_PREFIX)
+        }
+
+    @property
+    def fallbacks(self) -> int:
+        """Executions that requested an array backend but fell back to
+        the object backend (labelled ``"object: <reason>"``)."""
+        return sum(self._fallback_counts().values())
+
+    def fallback_note(self) -> str:
+        """``", N backend fallbacks (reasons)"`` for the ``[engine]``
+        line, or ``""`` when every run took its requested backend."""
+        reasons = self._fallback_counts()
+        if not reasons:
+            return ""
+        return (
+            f", {sum(reasons.values())} backend fallbacks "
+            f"({', '.join(sorted(reasons))})"
+        )
 
     def record_attribution(
         self, attribution: Optional[Dict[str, Dict[str, int]]]
@@ -127,6 +161,8 @@ class EngineMetrics:
                 name: dict(buckets)
                 for name, buckets in sorted(self.component_cycles.items())
             },
+            "backends": dict(sorted(self.backends.items())),
+            "fallbacks": self.fallbacks,
         }
 
 
@@ -183,5 +219,5 @@ class PrintProgress(EngineHooks):
             f"cache hit rate {metrics.cache_hit_rate:.0%}, "
             f"{metrics.points_per_second:.1f} points/s "
             f"({metrics.jobs} job{'s' if metrics.jobs != 1 else ''})"
-            f"{failed}"
+            f"{failed}{metrics.fallback_note()}"
         )

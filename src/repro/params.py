@@ -109,7 +109,7 @@ class SystemParams:
     #: Same contract as ``time_skip``.
     precompute: Optional[bool] = None
     #: Which simulation backend steps the machine — one of
-    #: :data:`SIM_MODES`; ``None`` means the default (``"precompute"``).
+    #: :data:`SIM_MODES`; ``None`` means the default (``"soa"``).
     #: After construction the field always holds the concrete label, so
     #: it is stable under :func:`dataclasses.replace` round-trips and
     #: participates in hashing/equality like any other field.  The
@@ -204,7 +204,7 @@ class SystemParams:
             else:
                 mode = "precompute"
         elif mode is None:
-            mode = "precompute"
+            mode = "soa"
         mode = canonical_sim_mode(mode)
         object.__setattr__(self, "time_skip", None)
         object.__setattr__(self, "precompute", None)

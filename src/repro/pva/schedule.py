@@ -37,9 +37,13 @@ differential tick-vs-skip suite holds bit-identical.
 discipline as the engine's result cache: the key is the full value tuple
 above, never an object identity, and the cached value is immutable
 (tuples only), so two vectors can share a table but can never alias
-mutable state.  The memo is LRU-bounded (long-lived engine workers sweep
-thousands of distinct vectors) and hooked into
-:func:`repro.api.clear_caches`.
+mutable state.  Each backend keeps exactly one memo: the object backend
+memoizes per-bank tables (:func:`stride_schedule`), the SoA backend whole
+broadcasts (:func:`repro.pva.soa.broadcast_schedules`, built with the
+uncached :func:`build_stride_schedule`), so no table is held twice.  Both
+are LRU-bounded to the same :data:`SCHEDULE_CACHE_SIZE` table budget
+(long-lived engine workers sweep thousands of distinct vectors) and
+hooked into :func:`repro.api.clear_caches`.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from repro.core.decode import decompose_stride
 
 __all__ = [
     "BankSchedule",
+    "build_stride_schedule",
     "stride_schedule",
     "pairs_schedule",
     "schedule_cache_info",
@@ -169,17 +174,16 @@ def _decode(
 def _stride_pattern(stride: int, num_banks: int) -> Tuple[int, int, int, int]:
     """``(s, delta, k1, bank_bits)`` of ``stride`` over ``num_banks``.
 
-    Split out of :func:`stride_schedule` and memoized on the tiny
+    Split out of :func:`build_stride_schedule` and memoized on the tiny
     ``(stride, num_banks)`` domain: the modular inverse behind ``k1``
     (theorem 4.3) would otherwise be recomputed on every broadcast, while
-    the full schedule memo below misses whenever the base moves.
+    the full schedule memos miss whenever the base moves.
     """
     decomp = decompose_stride(stride, num_banks)
     return decomp.s, decomp.delta, decomp.k1, decomp.bank_bits
 
 
-@lru_cache(maxsize=SCHEDULE_CACHE_SIZE)
-def stride_schedule(
+def build_stride_schedule(
     base: int,
     stride: int,
     length: int,
@@ -220,6 +224,12 @@ def stride_schedule(
         )
     ibanks, rows, next_same_row = _decode(local_words, geometry)
     return BankSchedule(indices, local_words, ibanks, rows, next_same_row)
+
+
+#: The object backend's per-bank memo over :func:`build_stride_schedule`
+#: (the SoA backend memoizes whole broadcasts instead, see
+#: :func:`repro.pva.soa.broadcast_schedules`).
+stride_schedule = lru_cache(maxsize=SCHEDULE_CACHE_SIZE)(build_stride_schedule)
 
 
 def pairs_schedule(

@@ -92,7 +92,15 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CapacityError, ProtocolError
-from repro.pva.schedule import BankSchedule, pairs_schedule, stride_schedule
+from repro.pva.schedule import (
+    SCHEDULE_CACHE_SIZE,
+    BankSchedule,
+    pairs_schedule,
+)
+# The uncached builder, under the module-level name broadcast_schedules
+# resolves at call time (so a wrapper installed on this module sees every
+# per-bank build).
+from repro.pva.schedule import build_stride_schedule as stride_schedule
 from repro.pva.rowpolicy import PaperPolicy
 from repro.sdram.device import SDRAMDevice
 from repro.sim.events import HORIZON
@@ -111,6 +119,7 @@ __all__ = [
     "numpy_bound_enabled",
     "soa_cache_info",
     "soa_eligible",
+    "soa_fallback_reason",
 ]
 
 #: Banks needed before the numpy min-reduction beats a plain ``min()``
@@ -136,9 +145,12 @@ def numpy_bound_enabled(num_banks: int) -> bool:
     )
 
 #: Memo bound for the all-banks schedule tuples (one entry per distinct
-#: broadcast vector; the per-bank tables underneath share the
-#: stride_schedule LRU with the object backend).
-_BROADCAST_CACHE_SIZE = 1024
+#: broadcast vector).  The per-bank tables underneath are built uncached
+#: (``stride_schedule`` here is the plain builder, not the object
+#: backend's LRU), so this is the SoA path's only schedule memo, and at
+#: sixteen tables per entry it holds the same table budget as the
+#: object backend's ``SCHEDULE_CACHE_SIZE``-entry LRU.
+_BROADCAST_CACHE_SIZE = SCHEDULE_CACHE_SIZE // 16
 
 # Vector-context slot layout: a context is a flat mutable list, the
 # SoA replacement for repro.pva.vector_context.VectorContext.  Slots
@@ -180,9 +192,9 @@ def broadcast_schedules(
     by bank number (``None`` where the bank owns no element).
 
     One memo probe per broadcast instead of ``num_banks``; the tables
-    themselves come from (and are shared with) the
-    :func:`~repro.pva.schedule.stride_schedule` LRU, so the two backends
-    can never disagree about a schedule's contents.
+    themselves come from the same closed-form builder as the object
+    backend's :func:`~repro.pva.schedule.stride_schedule` LRU, so the two
+    backends can never disagree about a schedule's contents.
     """
     return tuple(
         stride_schedule(base, stride, length, bank, num_banks, geometry)
@@ -201,38 +213,46 @@ def clear_soa_cache() -> None:
     broadcast_schedules.cache_clear()
 
 
-def soa_eligible(banks) -> bool:
-    """May this run be stepped by the array automaton?
+def soa_fallback_reason(banks) -> Optional[str]:
+    """Why this run may *not* be stepped by the array automaton, or
+    ``None`` when it may.
 
     Conservative: the automaton mirrors exactly the
     :class:`~repro.sdram.device.SDRAMDevice` /
     :class:`~repro.sram.device.SRAMDevice` models (homogeneously), with
     no command log attached, precomputed schedules available, and every
     bank idle (a fresh system, or one whose previous run completed).
-    Anything else silently falls back to the object backend — same
-    results, object speed.
+    Anything else falls back to the object backend — same results,
+    object speed — and the reason is reported as
+    :attr:`RunResult.backend <repro.sim.stats.RunResult.backend>`.
     """
     if not banks:
-        return False
+        return "no banks"
     device_type = type(banks[0].device)
     if device_type is not SDRAMDevice and device_type is not SRAMDevice:
-        return False
+        return f"unsupported device {device_type.__name__}"
     geometry = banks[0]._geom
     if geometry is None:
-        return False
+        return "no schedule geometry"
     for index, bank in enumerate(banks):
         device = bank.device
         if type(device) is not device_type:
-            return False
+            return "mixed devices"
         if device.log is not None:
-            return False
+            return "command log attached"
         if bank._geom != geometry:
-            return False
+            return "mixed bank geometries"
         if bank.bank != index:
-            return False
+            return "banks out of order"
         if bank.rqf or bank.scheduler.window:
-            return False
-    return True
+            return "bank state not idle"
+    return None
+
+
+def soa_eligible(banks) -> bool:
+    """May this run be stepped by the array automaton?  (See
+    :func:`soa_fallback_reason` for the conditions.)"""
+    return soa_fallback_reason(banks) is None
 
 
 class SoaBankAutomaton:

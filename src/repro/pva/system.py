@@ -32,13 +32,13 @@ from repro.interleave.schemes import InterleaveScheme
 from repro.params import SystemParams
 from repro.bus.vector_bus import VectorBus
 from repro.pva.bank_controller import BankController
-from repro.pva.soa import SoaBankAutomaton, soa_eligible
-from repro.pva.window import WindowBankAutomaton, window_eligible
+from repro.pva.soa import SoaBankAutomaton, soa_fallback_reason
+from repro.pva.window import WindowBankAutomaton
 from repro.sdram.device import DeviceStats, SDRAMDevice
 from repro.sim.events import HORIZON, time_skip_enabled
 from repro.sim.kernel import PassiveComponent, SimKernel
 from repro.sim.runner import Watchdog
-from repro.sim.stats import BusStats, RunResult
+from repro.sim.stats import FALLBACK_PREFIX, BusStats, RunResult
 from repro.types import AccessType, ExplicitCommand, VectorCommand
 
 AnyCommand = Union[VectorCommand, ExplicitCommand]
@@ -595,24 +595,26 @@ class PVAMemorySystem:
         #: flat automaton (repro.pva.soa), with sim_mode="window" adding
         #: the closed-form chain resolution on top (repro.pva.window).
         #: capture_data runs take the SoA automaton even under "window"
-        #: (the ISSUE contract: silent, bit-exact fallback), and any
-        #: ineligible run (attached command logs, exotic devices, dirty
-        #: bank state) falls back to the object components — same
-        #: results, object speed.
+        #: (bit-exact either way), and any ineligible run (attached
+        #: command logs, exotic devices, dirty bank state) falls back to
+        #: the object components — same results, object speed — with the
+        #: reason recorded in RunResult.backend.
         mode = self.params.sim_mode
-        if (
-            mode == "window"
-            and not capture_data
-            and window_eligible(self.banks)
-        ):
+        reason = None
+        if mode in ("soa", "window"):
+            reason = soa_fallback_reason(self.banks)
+        if reason is None and mode == "window" and not capture_data:
+            backend = "window"
             self._soa = WindowBankAutomaton(
                 self.banks, front, bus, self.params, kernel
             )
             kernel.register(self._soa)
-        elif mode in ("soa", "window") and soa_eligible(self.banks):
+        elif reason is None and mode in ("soa", "window"):
+            backend = "soa"
             self._soa = SoaBankAutomaton(self.banks, front, bus, self.params)
             kernel.register(self._soa)
         else:
+            backend = "object" if reason is None else FALLBACK_PREFIX + reason
             for bank in self.banks:
                 kernel.register(_BankComponent(bank, front, time_skip))
         kernel.register(_CompletionUnit(front))
@@ -649,6 +651,7 @@ class PVAMemorySystem:
             bus=bus.stats,
             command_latencies=front.latencies,
             attribution=kernel.finalize(total_cycles),
+            backend=backend,
         )
         if front.read_lines is not None:
             result.read_lines = [

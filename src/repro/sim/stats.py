@@ -15,7 +15,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sdram.devstats import DeviceStats
 
-__all__ = ["BusStats", "ComponentCycles", "RunResult"]
+__all__ = ["FALLBACK_PREFIX", "BusStats", "ComponentCycles", "RunResult"]
+
+#: :attr:`RunResult.backend` prefix of a run that requested an array
+#: backend but fell back to the object backend; the reason follows it.
+FALLBACK_PREFIX = "object: "
 
 
 @dataclass
@@ -100,6 +104,14 @@ class RunResult:
     #: Identical between the tick and time-skip run loops, and every
     #: component's buckets sum to :attr:`cycles`.
     attribution: Optional[Dict[str, ComponentCycles]] = None
+    #: Which bank backend stepped the run: ``"soa"``, ``"window"``,
+    #: ``"object"`` (requested via ``sim_mode``), or
+    #: :data:`FALLBACK_PREFIX` + reason when an array backend was
+    #: requested but the run fell back (see
+    #: :func:`repro.pva.soa.soa_fallback_reason`).
+    #: None for the analytic baselines.  Excluded from equality: the
+    #: backends are bit-identical by contract.
+    backend: Optional[str] = field(default=None, compare=False)
 
     @property
     def cycles_per_command(self) -> float:

@@ -19,6 +19,7 @@ from repro.pva.soa import (
     clear_soa_cache,
     soa_cache_info,
     soa_eligible,
+    soa_fallback_reason,
 )
 from repro.sim.events import HORIZON
 
@@ -218,3 +219,108 @@ class TestEligibility:
         sram = build_system("pva-sram", SystemParams())
         mixed = [sdram.banks[0], sram.banks[1]]
         assert not soa_eligible(mixed)
+
+
+class TestBackendReporting:
+    """RunResult.backend names the backend that actually stepped the
+    run, and the reason whenever an array backend fell back."""
+
+    TRACE_PARAMS = dict(stride=4, elements=32)
+
+    def _run(self, params, attach_logs=False):
+        from repro.kernels import build_trace, kernel_by_name
+
+        system = build_system("pva-sdram", params)
+        if attach_logs:
+            system.attach_command_logs()
+        trace = build_trace(
+            kernel_by_name("copy"), params=params, **self.TRACE_PARAMS
+        )
+        return system.run(trace)
+
+    def test_default_run_reports_soa(self, monkeypatch):
+        from repro.params import ENV_SIM_MODE
+
+        monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+        assert self._run(SystemParams()).backend == "soa"
+
+    def test_command_log_is_the_fallback_reason(self, monkeypatch):
+        from repro.params import ENV_SIM_MODE
+
+        monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+        result = self._run(SystemParams(), attach_logs=True)
+        assert result.backend == "object: command log attached"
+
+    def test_requested_object_backend_has_no_reason(self):
+        result = self._run(SystemParams(sim_mode="precompute"))
+        assert result.backend == "object"
+
+    def test_backend_is_not_part_of_result_equality(self):
+        fast = self._run(SystemParams(sim_mode="soa"))
+        reference = self._run(SystemParams(sim_mode="tick"))
+        assert fast.backend != reference.backend
+        assert fast == reference
+
+    def test_analytic_baselines_report_none(self):
+        from repro.kernels import build_trace, kernel_by_name
+
+        params = SystemParams()
+        trace = build_trace(
+            kernel_by_name("copy"), params=params, **self.TRACE_PARAMS
+        )
+        result = build_system("cacheline-serial", params).run(trace)
+        assert result.backend is None
+
+    def test_fallback_reasons(self):
+        assert soa_fallback_reason([]) == "no banks"
+        system = build_system("pva-sdram", SystemParams())
+        assert soa_fallback_reason(system.banks) is None
+        sram = build_system("pva-sram", SystemParams())
+        mixed = [system.banks[0], sram.banks[1]]
+        assert soa_fallback_reason(mixed) == "mixed devices"
+        assert (
+            soa_fallback_reason(system.banks[1:]) == "banks out of order"
+        )
+        system.banks[3].rqf.append(object())
+        assert soa_fallback_reason(system.banks) == "bank state not idle"
+
+
+class TestEngineBackendTally:
+    def _points(self, params):
+        from repro.engine import ExperimentPoint, KernelTraceSpec
+
+        return [
+            ExperimentPoint(
+                system="pva-sdram",
+                trace=KernelTraceSpec("copy", stride=stride, elements=64),
+                params=params,
+            )
+            for stride in (1, 19)
+        ]
+
+    def test_default_runs_count_as_soa(self, monkeypatch):
+        from repro.engine import ExperimentEngine
+        from repro.params import ENV_SIM_MODE
+
+        monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+        engine = ExperimentEngine(jobs=1)
+        engine.run(self._points(SystemParams()))
+        assert engine.metrics.backends == {"soa": 2}
+        assert engine.metrics.fallbacks == 0
+        assert engine.metrics.fallback_note() == ""
+
+    def test_fallbacks_are_counted_and_shown(self):
+        from repro.engine import EngineMetrics, PrintProgress
+
+        metrics = EngineMetrics()
+        for backend in ("soa", "object: command log attached", None,
+                        "object: command log attached", "object"):
+            metrics.record_backend(backend)
+        assert metrics.backends == {
+            "soa": 1, "object: command log attached": 2, "object": 1,
+        }
+        assert metrics.fallbacks == 2
+        assert metrics.summary()["fallbacks"] == 2
+        lines = []
+        PrintProgress(emit=lines.append).batch_complete(metrics)
+        assert "2 backend fallbacks (command log attached)" in lines[0]

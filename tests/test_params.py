@@ -169,9 +169,9 @@ class TestSystemParams:
 class TestSimMode:
     """The validated sim_mode ladder and its deprecated boolean aliases."""
 
-    def test_default_resolves_to_precompute(self):
+    def test_default_resolves_to_soa(self):
         params = SystemParams()
-        assert params.sim_mode == "precompute"
+        assert params.sim_mode == "soa"
         # The deprecated alias fields are always folded away.
         assert params.time_skip is None
         assert params.precompute is None
