@@ -21,11 +21,24 @@ collapses all of them into one table-driven automaton:
   single min-reduction over the deadline array (numpy-accelerated behind
   a feature probe when the bank count makes it worthwhile).
 
+**Transaction-level staging.**  The reference object backend keeps the
+paper's per-bank Read/Write Staging Units (section 5.2.2 item 8): every
+broadcast opens a slot in all sixteen banks and every completion drains
+or releases all sixteen.  The automaton stages per *transaction*
+instead: a broadcast queues a reference to the front end's
+``_Transaction`` in the FIFO entries of the banks that own elements
+(banks that own none are skipped), and every column issue updates that
+transaction's ``done``/``last_data_cycle`` — appending ``(index,
+value)`` to its ``received`` list for reads — with no per-issue lookup.
+STAGE_READ merges ``received``; a write retires with nothing to release.
+Element counts, data and completion cycles are those the per-bank units
+would have produced, so the two models stay bit-identical.
+
 **Run-ahead batching.**  Banks interact with the rest of the system only
-through broadcasts (input, applied at the front end's call cycle),
-column issues reported into the front end's transaction table (output),
-and the staging units (drained by the front end strictly after a
-transaction fully issues).  Each :meth:`SoaBankAutomaton.tick` therefore
+through broadcasts (input, applied at the front end's call cycle) and
+column issues recorded into the queued transactions (output, read by the
+completion unit and by STAGE_READ strictly after a transaction fully
+issues).  Each :meth:`SoaBankAutomaton.tick` therefore
 processes a whole *batch* of bank events ahead of kernel time, up to
 
 ``h = max(cycle + 1, bus.busy_until, front.next_issue_allowed)``
@@ -52,12 +65,11 @@ pins down):
    candidate reaches the deadline — the same cycle — and, with no
    pending work, only once kernel time itself reaches the deadline
    (matching the run exiting before tail refreshes ever fire).
-3. *Completion.*  Column issues are recorded into the front end's
-   transaction table at batch time (early), but retirement additionally
-   requires ``cycle >= last_data_cycle`` — and every issue cycle is
-   ``<=`` its data cycle — so transactions retire at the identical
-   kernel cycle and the staging units are drained only after their data
-   genuinely arrived.
+3. *Completion.*  Column issues are recorded into the transactions at
+   batch time (early), but retirement additionally requires ``cycle >=
+   last_data_cycle`` — and every issue cycle is ``<=`` its data cycle —
+   so transactions retire at the identical kernel cycle and STAGE_READ
+   merges a line only after its data genuinely arrived.
 4. *Broadcast state.*  At a broadcast call cycle every batch has run
    strictly past its events (``h`` of the previous batches is a lower
    bound on the call cycle), so the FIFO/window/idle state the broadcast
@@ -107,10 +119,10 @@ from repro.sim.events import HORIZON
 from repro.sim.stats import ComponentCycles
 from repro.sram.device import SRAMDevice
 
-try:  # feature probe: numpy accelerates the skip-bound min-reduction
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is optional
-    _np = None
+#: numpy, once a >= _NUMPY_MIN_BANKS probe imported it (it only
+#: accelerates the skip-bound min-reduction, so smaller systems — the
+#: prototype included — never pay for the import).
+_np = None
 
 __all__ = [
     "SoaBankAutomaton",
@@ -132,17 +144,22 @@ def numpy_bound_enabled(num_banks: int) -> bool:
     """Module-level cached decision: accelerate the per-bank deadline
     min-reduction with numpy for this bank count?
 
-    Folds the feature probe (is numpy importable?), the bank-count
-    threshold (:data:`_NUMPY_MIN_BANKS`) and the ``array('q')`` width
-    check into one memoized answer shared by every array-backed backend
-    (the SoA automaton and the closed-form window backend), instead of
+    Folds the bank-count threshold (:data:`_NUMPY_MIN_BANKS`), the
+    ``array('q')`` width check and the feature probe (is numpy
+    importable?  imported here, lazily, and kept in ``_np``) into one
+    memoized answer shared by every array-backed backend (the SoA
+    automaton and the closed-form window backend), instead of
     re-deriving it per automaton construction.
     """
-    return (
-        _np is not None
-        and num_banks >= _NUMPY_MIN_BANKS
-        and array("q").itemsize == 8
-    )
+    global _np
+    if num_banks < _NUMPY_MIN_BANKS or array("q").itemsize != 8:
+        return False
+    try:
+        import numpy
+    except Exception:  # pragma: no cover - numpy is optional
+        return False
+    _np = numpy
+    return True
 
 #: Memo bound for the all-banks schedule tuples (one entry per distinct
 #: broadcast vector).  The per-bank tables underneath are built uncached
@@ -162,7 +179,7 @@ C_ROW = 3  # rows tuple
 C_NSR = 4  # next_same_row tuple
 C_POS = 5  # cursor position
 C_REM = 6  # elements remaining
-C_TXN = 7  # transaction id
+C_TXN = 7  # the front end's _Transaction (staging + completion state)
 C_W = 8  # 1 = write, 0 = read
 C_LINE = 9  # staged write line (tuple) or None
 C_ISSUED = 10  # has the first operation been issued?
@@ -174,7 +191,7 @@ C_MONO = 15  # schedule mono_from (single-internal-bank suffix marker)
 
 # Request-FIFO entry layout (replaces repro.pva.request.BCRequest).
 R_READY = 0  # ready cycle (FHP/FHC pipeline + bypass timing)
-R_TXN = 1
+R_TXN = 1  # the front end's _Transaction
 R_W = 2
 R_LINE = 3
 R_SCHED = 4  # BankSchedule
@@ -338,8 +355,6 @@ class SoaBankAutomaton:
         self._rqf: List[deque] = [deque() for _ in range(n)]
         self._win: List[list] = [[] for _ in range(n)]
         self.storage = [bank.device._storage for bank in banks]
-        self.rsu = [bank.read_staging for bank in banks]
-        self.wsu = [bank.write_staging for bank in banks]
         self.policies = [bank.scheduler.policy for bank in banks]
         self.paper = [type(p) is PaperPolicy for p in self.policies]
         self.predict = [
@@ -514,7 +529,6 @@ class SoaBankAutomaton:
         base_u = b * self.nib
         burst_ok = self.paper[b] or not has_rows
         storage = self.storage[b]
-        outstanding = self.outstanding
         processed = False
         t = bound[b]
         while True:
@@ -717,7 +731,7 @@ class SoaBankAutomaton:
                             # -- data movement, batched ----------------
                             local_words = vc0[0]
                             indices = vc0[1]
-                            txn_id = vc0[7]
+                            txn = vc0[7]
                             if w:
                                 line = vc0[9]
                                 for k in range(pos, pos + run):
@@ -726,35 +740,15 @@ class SoaBankAutomaton:
                                     ]
                                 self.writes[b] += run
                                 data_cycle = end + t_wr
-                                slot = self.wsu[b]._slots.get(txn_id)
-                                if slot is None:
-                                    raise ProtocolError(
-                                        f"write commit for unknown "
-                                        f"transaction {txn_id}"
-                                    )
-                                slot.committed += run
-                                if data_cycle > slot.commit_cycle:
-                                    slot.commit_cycle = data_cycle
                             else:
                                 self.reads[b] += run
-                                slot = self.rsu[b]._slots.get(txn_id)
-                                if slot is None:
-                                    raise ProtocolError(
-                                        f"data for unknown read "
-                                        f"transaction {txn_id}"
-                                    )
-                                received = slot.received
+                                append = txn.received.append
                                 get = storage.get
                                 for k in range(pos, pos + run):
-                                    received.append(
-                                        (
-                                            indices[k],
-                                            get(local_words[k], 0),
-                                        )
+                                    append(
+                                        (indices[k], get(local_words[k], 0))
                                     )
                                 data_cycle = end + self.read_lat
-                                if data_cycle > slot.last_data_cycle:
-                                    slot.last_data_cycle = data_cycle
                             # -- run-final auto-precharge --------------
                             if has_rows:
                                 self.asc[b][ib] = False
@@ -803,13 +797,7 @@ class SoaBankAutomaton:
                                     if release > act[u]:
                                         act[u] = release
                                     self.ib_ap[u] += 1
-                            # -- front-end transaction accounting ------
-                            txn = outstanding.get(txn_id)
-                            if txn is None:
-                                raise ProtocolError(
-                                    f"bank {b} issued for unknown "
-                                    f"transaction {txn_id}"
-                                )
+                            # -- transaction-level staging ------------
                             txn.done += run
                             if data_cycle > txn.last_data_cycle:
                                 txn.last_data_cycle = data_cycle
@@ -864,7 +852,7 @@ class SoaBankAutomaton:
                         if issue_vc is not None:
                             # -- single column (AccessScheduler
                             #    ._issue_column + device.column_at +
-                            #    staging + note_issue, fused) ---------
+                            #    transaction staging, fused) ----------
                             vcx = issue_vc
                             posx = vcx[5]
                             wx = vcx[8]
@@ -903,42 +891,16 @@ class SoaBankAutomaton:
                                     self.ib_ap[ux] += 1
                             local_word = vcx[0][posx]
                             index = vcx[1][posx]
-                            txn_id = vcx[7]
+                            txn = vcx[7]
                             if wx:
                                 storage[local_word] = vcx[9][index]
                                 self.writes[b] += 1
                                 data_cycle = t + t_wr
-                                slot = self.wsu[b]._slots.get(txn_id)
-                                if slot is None:
-                                    raise ProtocolError(
-                                        f"write commit for unknown "
-                                        f"transaction {txn_id}"
-                                    )
-                                slot.committed += 1
-                                if data_cycle > slot.commit_cycle:
-                                    slot.commit_cycle = data_cycle
                             else:
                                 self.reads[b] += 1
                                 data_cycle = t + self.read_lat
-                                slot = self.rsu[b]._slots.get(txn_id)
-                                if slot is None:
-                                    raise ProtocolError(
-                                        f"data for unknown read "
-                                        f"transaction {txn_id}"
-                                    )
-                                slot.received.append(
-                                    (
-                                        index,
-                                        storage.get(local_word, 0),
-                                    )
-                                )
-                                if data_cycle > slot.last_data_cycle:
-                                    slot.last_data_cycle = data_cycle
-                            txn = outstanding.get(txn_id)
-                            if txn is None:
-                                raise ProtocolError(
-                                    f"bank {b} issued for unknown "
-                                    f"transaction {txn_id}"
+                                txn.received.append(
+                                    (index, storage.get(local_word, 0))
                                 )
                             txn.done += 1
                             if data_cycle > txn.last_data_cycle:
@@ -1079,7 +1041,10 @@ class SoaBankAutomaton:
         counterpart of looping BankController.broadcast over the banks.
         ``cycle`` is the delivery cycle (last broadcast bus cycle),
         ``call_cycle`` the front end's current cycle (ledger anchor).
+        Banks that own no element are skipped outright: staging is
+        per transaction, so there is no per-bank slot to open.
         Returns the summed element count."""
+        txn = self._transaction(txn_id)
         schedules = broadcast_schedules(
             vector.base,
             vector.stride,
@@ -1091,7 +1056,6 @@ class SoaBankAutomaton:
         # The _queue tail, fused across the bank loop with the shared
         # state in locals (this runs once per bank per broadcast — the
         # broadcast side's hot path).
-        stage = self.wsu if is_write else self.rsu
         rqfs = self._rqf
         wins = self._win
         bound = self.bound
@@ -1107,9 +1071,7 @@ class SoaBankAutomaton:
         total = 0
         for b in range(self.n):
             schedule = schedules[b]
-            expected = 0 if schedule is None else schedule.count
-            stage[b].open(txn_id, expected)
-            if expected == 0:
+            if schedule is None:
                 continue
             rqf = rqfs[b]
             if len(rqf) >= fifo_depth:
@@ -1131,7 +1093,7 @@ class SoaBankAutomaton:
                 fhc_busy[b] = finish
                 self.fhc_calcs[b] += 1
                 ready = finish if (bypass and idle) else finish + 1
-            rqf.append((ready, txn_id, iw, write_line, schedule))
+            rqf.append((ready, txn, iw, write_line, schedule))
             if not pending[b]:
                 # The bank shows "stalled" from the broadcast call cycle
                 # on; everything before it was idle.
@@ -1142,8 +1104,18 @@ class SoaBankAutomaton:
                 pending[b] = True
             if len(rqf) == 1 and len(win) < max_ctx and ready < bound[b]:
                 bound[b] = ready
-            total += expected
+            total += schedule.count
         return total
+
+    def _transaction(self, txn_id: int):
+        """The registered front-end transaction a broadcast queues
+        (looked up once per broadcast, never per column issue)."""
+        txn = self.outstanding.get(txn_id)
+        if txn is None:
+            raise ProtocolError(
+                f"broadcast for unregistered transaction {txn_id}"
+            )
+        return txn
 
     def broadcast_explicit(
         self,
@@ -1209,16 +1181,13 @@ class SoaBankAutomaton:
         call_cycle: int,
         power_of_two: Optional[bool],
     ) -> int:
-        """Common broadcast tail: open staging (expected may be zero),
-        run the FHP/FHC ready-cycle pipeline, append the FIFO entry and
-        maintain the ledger and the next-event bound."""
-        expected = 0 if schedule is None else schedule.count
-        if is_write:
-            self.wsu[b].open(txn_id, expected)
-        else:
-            self.rsu[b].open(txn_id, expected)
-        if expected == 0:
+        """Common broadcast tail: skip a bank that owns no element, else
+        run the FHP/FHC ready-cycle pipeline, append the FIFO entry
+        (holding the transaction itself) and maintain the ledger and the
+        next-event bound."""
+        if schedule is None:
             return 0
+        txn = self._transaction(txn_id)
         rqf = self._rqf[b]
         if len(rqf) >= self.fifo_depth:
             raise CapacityError(
@@ -1242,7 +1211,7 @@ class SoaBankAutomaton:
             self.fhc_busy[b] = finish
             self.fhc_calcs[b] += 1
             ready = finish if (self.bypass and idle) else finish + 1
-        rqf.append((ready, txn_id, int(is_write), write_line, schedule))
+        rqf.append((ready, txn, int(is_write), write_line, schedule))
         if not self.pending[b]:
             # The bank shows "stalled" from the broadcast call cycle on
             # (_BankComponent.account sees the FIFO entry that same
@@ -1253,7 +1222,7 @@ class SoaBankAutomaton:
             self.pending[b] = True
         if len(rqf) == 1 and len(win) < self.max_ctx and ready < self.bound[b]:
             self.bound[b] = ready
-        return expected
+        return schedule.count
 
     # ------------------------------------------------------------- #
     # Writeback

@@ -7,6 +7,11 @@ until the scattered writes commit.  Each unit drives the (active-low)
 ``transaction_complete`` wired-OR line for its transactions: a bank
 controller releases the line when it has collected (reads) or committed
 (writes) every element it is responsible for.
+
+These per-bank units are the reference object backend's model.  The
+array backends (:mod:`repro.pva.soa`, :mod:`repro.pva.window`) never
+open a slot here: they stage per transaction, in the front end's
+transaction record, with the same element counts and data cycles.
 """
 
 from __future__ import annotations

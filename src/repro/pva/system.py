@@ -26,7 +26,12 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.decode import TopologyDecoder
 from repro.core.pla import shared_k1_pla
-from repro.errors import ConfigurationError, ProtocolError, VectorSpecError
+from repro.errors import (
+    CapacityError,
+    ConfigurationError,
+    ProtocolError,
+    VectorSpecError,
+)
 from repro.interleave.logical import LogicalBankView
 from repro.interleave.schemes import InterleaveScheme
 from repro.params import SystemParams
@@ -60,9 +65,15 @@ def _command_length(command: AnyCommand) -> int:
 __all__ = ["PVAMemorySystem"]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Transaction:
-    """Front-end bookkeeping for one outstanding bus transaction."""
+    """Front-end bookkeeping for one outstanding bus transaction.
+
+    The array backends stage at transaction level: their FIFO entries
+    and vector contexts hold this object, every column issue updates
+    ``done``/``last_data_cycle`` here, and read data lands in
+    ``received`` (the object backend keeps the section 5.2.2 per-bank
+    staging units instead and leaves ``received`` empty)."""
 
     txn_id: int
     trace_index: int
@@ -73,6 +84,7 @@ class _Transaction:
     last_data_cycle: int = -1
     staged: bool = False  # reads: queued for / undergoing STAGE_READ
     words: frozenset = frozenset()  # writes: word addresses, for WAW gating
+    received: List[Tuple[int, int]] = field(default_factory=list)
 
 
 class _FrontEnd:
@@ -96,6 +108,7 @@ class _FrontEnd:
         self.free_ids: Deque[int] = deque(
             range(system.params.max_transactions)
         )
+        self.max_transactions = system.params.max_transactions
         self.outstanding: Dict[int, _Transaction] = {}
         self.stage_queue: Deque[_Transaction] = deque()
         self.releases: List[Tuple[int, int]] = []  # (cycle, txn_id)
@@ -183,7 +196,7 @@ class _FrontEnd:
                 acted = True
                 txn = self.stage_queue.popleft()
                 line = self.system._assemble_line(
-                    txn.txn_id, commands[txn.trace_index]
+                    txn, commands[txn.trace_index]
                 )
                 if self.read_lines is not None:
                     self.read_lines[
@@ -205,7 +218,24 @@ class _FrontEnd:
                     if isinstance(command, ExplicitCommand)
                     else 1
                 )
-                if command.access is AccessType.READ:
+                is_write = command.access is AccessType.WRITE
+                # Registered before the broadcast: the array backends
+                # queue a reference to the transaction itself.
+                self._register(
+                    _Transaction(
+                        txn_id=txn_id,
+                        trace_index=self.next_cmd,
+                        is_write=is_write,
+                        issue_cycle=cycle,
+                        expected=_command_length(command),
+                        words=(
+                            self._words_for_next(command)
+                            if is_write
+                            else frozenset()
+                        ),
+                    )
+                )
+                if not is_write:
                     # A multi-cycle broadcast (explicit address
                     # stream) only finishes delivering addresses on
                     # its last bus cycle; the banks cannot act on the
@@ -214,13 +244,6 @@ class _FrontEnd:
                         txn_id, command, cycle + request_cycles - 1, None, cycle
                     )
                     self.bus.broadcast_request(cycle, request_cycles)
-                    self.outstanding[txn_id] = _Transaction(
-                        txn_id=txn_id,
-                        trace_index=self.next_cmd,
-                        is_write=False,
-                        issue_cycle=cycle,
-                        expected=_command_length(command),
-                    )
                 else:
                     # STAGE_WRITE command + data cycles, then the
                     # VEC_WRITE (or explicit-address) broadcast.
@@ -239,17 +262,20 @@ class _FrontEnd:
                         line,
                         cycle,
                     )
-                    self.outstanding[txn_id] = _Transaction(
-                        txn_id=txn_id,
-                        trace_index=self.next_cmd,
-                        is_write=True,
-                        issue_cycle=cycle,
-                        expected=_command_length(command),
-                        words=self._words_for_next(command),
-                    )
                 self.next_cmd += 1
                 self.next_issue_allowed = cycle + self.issue_interval
         return acted
+
+    def _register(self, txn: _Transaction) -> None:
+        """Enter a transaction into the outstanding table (the free-id
+        pool already bounds it; this is the staging-capacity check)."""
+        outstanding = self.outstanding
+        outstanding[txn.txn_id] = txn
+        if len(outstanding) > self.max_transactions:
+            raise CapacityError(
+                f"{len(outstanding)} transactions outstanding "
+                f"(limit {self.max_transactions})"
+            )
 
     def note_issue(self, bank: int, issued) -> None:
         """A bank issued a column for one of our transactions."""
@@ -392,8 +418,14 @@ class _CompletionUnit:
                 continue
             if txn.is_write:
                 acted = True
-                for bank in front.system.banks:
-                    bank.release_write(txn.txn_id)
+                if txn.done != txn.expected:
+                    raise ProtocolError(
+                        f"write transaction {txn.txn_id} committed "
+                        f"{txn.done}/{txn.expected} elements"
+                    )
+                if front.system._soa is None:
+                    for bank in front.system.banks:
+                        bank.release_write(txn.txn_id)
                 front.free_ids.append(txn.txn_id)
                 front.latencies[txn.trace_index] = (
                     cycle + 1 - txn.issue_cycle
@@ -798,13 +830,25 @@ class PVAMemorySystem:
         return tuple(range(length))
 
     def _assemble_line(
-        self, txn_id: int, command: AnyCommand
+        self, txn: _Transaction, command: AnyCommand
     ) -> Tuple[int, ...]:
-        """Merge the staged subvectors of all banks into the dense line
-        returned to the processor (gathered in index order)."""
+        """STAGE_READ: merge the staged subvectors into the dense line
+        returned to the processor (gathered in index order) — from the
+        transaction's own buffer under the array backends, from every
+        bank's read staging unit under the object backend."""
         line: List[int] = [0] * _command_length(command)
+        if self._soa is not None:
+            received = txn.received
+            if len(received) != txn.expected:
+                raise ProtocolError(
+                    f"STAGE_READ for incomplete transaction {txn.txn_id} "
+                    f"({len(received)}/{txn.expected} elements)"
+                )
+            for index, value in received:
+                line[index] = value
+            return tuple(line)
         for bank in self.banks:
-            for index, value in bank.drain_read(txn_id):
+            for index, value in bank.drain_read(txn.txn_id):
                 line[index] = value
         return tuple(line)
 

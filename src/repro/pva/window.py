@@ -20,7 +20,7 @@ resolution:
   same values the event walk's probe/jump loop converges to, computed
   directly);
 * derive the chain's completion cycle, then commit everything at once:
-  storage movement, staging/transaction accounting, device counters,
+  storage movement, transaction-level staging, device counters,
   timer state, and the busy/stalled ledger as **bulk deltas** through
   the kernel's :meth:`~repro.sim.kernel.SimKernel.bulk_account` API;
 * leave ``bound[b]`` at the completion cycle so the kernel fast-forwards
@@ -114,7 +114,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from repro.errors import ProtocolError
 from repro.pva.soa import (
     C_FIB,
     C_FROW,
@@ -302,7 +301,7 @@ class WindowBankAutomaton(SoaBankAutomaton):
             rem = sched.count
             w = head[R_W]
             line = head[R_LINE]
-            txn_id = head[R_TXN]
+            txn = head[R_TXN]
             issued = False
             fib = ibs[0]
             frow = rows[0]
@@ -313,7 +312,7 @@ class WindowBankAutomaton(SoaBankAutomaton):
             rem = vc[C_REM]
             w = vc[C_W]
             line = vc[C_LINE]
-            txn_id = vc[C_TXN]
+            txn = vc[C_TXN]
             issued = vc[C_ISSUED]
             fib = vc[C_FIB]
             frow = vc[C_FROW]
@@ -580,33 +579,13 @@ class WindowBankAutomaton(SoaBankAutomaton):
                 storage[lw[k]] = line[idx[k]]
             self.writes[b] += total
             data_cycle = final_end + t_wr
-            slot = self.wsu[b]._slots.get(txn_id)
-            if slot is None:
-                raise ProtocolError(
-                    f"write commit for unknown transaction {txn_id}"
-                )
-            slot.committed += total
-            if data_cycle > slot.commit_cycle:
-                slot.commit_cycle = data_cycle
         else:
             self.reads[b] += total
-            slot = self.rsu[b]._slots.get(txn_id)
-            if slot is None:
-                raise ProtocolError(
-                    f"data for unknown read transaction {txn_id}"
-                )
-            received = slot.received
+            append = txn.received.append
             get = storage.get
             for k in range(pos, pos + total):
-                received.append((idx[k], get(lw[k], 0)))
+                append((idx[k], get(lw[k], 0)))
             data_cycle = final_end + self.read_lat
-            if data_cycle > slot.last_data_cycle:
-                slot.last_data_cycle = data_cycle
-        txn = self.outstanding.get(txn_id)
-        if txn is None:
-            raise ProtocolError(
-                f"bank {b} issued for unknown transaction {txn_id}"
-            )
         txn.done += total
         if data_cycle > txn.last_data_cycle:
             txn.last_data_cycle = data_cycle

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import available_systems
+from repro.engine import ExperimentEngine, ExperimentPoint, KernelTraceSpec
 from repro.experiments.grid import (
     EVAL_KERNELS,
     EVAL_STRIDES,
@@ -10,6 +11,7 @@ from repro.experiments.grid import (
     run_point,
 )
 from repro.kernels import ALIGNMENTS
+from repro.params import SystemParams
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +83,88 @@ class TestRunPoint:
             "copy", stride=4, alignment=ALIGNMENTS[0], elements=64
         )
         assert point == grid.point("copy", 4, "aligned")
+
+
+class _RecordingEngine:
+    """An engine stub that records the points ``run_grid`` submits and
+    runs them through a real inline engine."""
+
+    def __init__(self):
+        self.points = []
+        self.engine = ExperimentEngine()
+
+    def run(self, points):
+        self.points.extend(points)
+        return self.engine.run(points)
+
+
+class TestPointOrder:
+    KERNELS = ("copy", "scale", "vaxpy")
+    STRIDES = (1, 19)
+    ALIGNMENTS = ALIGNMENTS[:2]
+    SYSTEMS = ("pva-sdram", "cacheline-serial")
+
+    def _grid(self, engine):
+        return run_grid(
+            kernels=self.KERNELS,
+            strides=self.STRIDES,
+            alignments=self.ALIGNMENTS,
+            elements=128,
+            systems=self.SYSTEMS,
+            engine=engine,
+        )
+
+    def test_submitted_system_stride_alignment_kernel(self):
+        recorder = _RecordingEngine()
+        self._grid(recorder)
+        submitted = [
+            (p.system, p.trace.stride, p.trace.alignment, p.trace.kernel)
+            for p in recorder.points
+        ]
+        canonical = self.ALIGNMENTS[0].name
+        expected = [
+            (
+                system,
+                stride,
+                canonical if system == "cacheline-serial" else alignment.name,
+                kernel,
+            )
+            for system in self.SYSTEMS
+            for stride in self.STRIDES
+            for alignment in self.ALIGNMENTS
+            for kernel in self.KERNELS
+        ]
+        assert submitted == expected
+
+    def test_cycles_match_kernel_major_submission(self):
+        grid = self._grid(ExperimentEngine())
+        canonical = self.ALIGNMENTS[0].name
+        slots = [
+            (kernel, stride, alignment.name, system)
+            for kernel in self.KERNELS
+            for stride in self.STRIDES
+            for alignment in self.ALIGNMENTS
+            for system in self.SYSTEMS
+        ]
+        points = [
+            ExperimentPoint(
+                system=system,
+                trace=KernelTraceSpec(
+                    kernel=kernel,
+                    stride=stride,
+                    alignment=(
+                        canonical if system == "cacheline-serial" else name
+                    ),
+                    elements=128,
+                ),
+                params=SystemParams(),
+            )
+            for kernel, stride, name, system in slots
+        ]
+        expected = {}
+        for (kernel, stride, name, system), cycles in zip(
+            slots, ExperimentEngine().run(points)
+        ):
+            expected.setdefault((kernel, stride, name), {})[system] = cycles
+        # Same numbers in the same (kernel-major) insertion order.
+        assert list(grid.cycles.items()) == list(expected.items())

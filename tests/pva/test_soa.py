@@ -10,7 +10,10 @@ bank subsets the automaton itself never rejects).
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.api import build_system, clear_caches
+from repro.errors import CapacityError, ProtocolError
 from repro.params import SystemParams
 from repro.pva.schedule import pairs_schedule
 from repro.pva.soa import (
@@ -21,6 +24,7 @@ from repro.pva.soa import (
     soa_eligible,
     soa_fallback_reason,
 )
+from repro.pva.system import _Transaction
 from repro.sim.events import HORIZON
 
 
@@ -35,6 +39,18 @@ def _automaton(params=None, banks=None):
     bus = SimpleNamespace(busy_until=0)
     selected = system.banks if banks is None else system.banks[:banks]
     return SoaBankAutomaton(selected, front, bus, params)
+
+
+def _register(soa, txn_id, expected):
+    """Enter a read transaction into the front end's table, as the front
+    end does before it broadcasts (the automaton queues the record)."""
+    soa.outstanding[txn_id] = _Transaction(
+        txn_id=txn_id,
+        trace_index=0,
+        is_write=False,
+        issue_cycle=0,
+        expected=expected,
+    )
 
 
 class TestNextEventBound:
@@ -85,6 +101,7 @@ class TestQueueMath:
         # pairs_schedule with one repeated local word — the stride-0
         # degenerate the Vector type itself rejects (stride >= 1).
         soa = _automaton()
+        _register(soa, 0, 3)
         pairs = ((7, 0), (7, 1), (7, 2))
         queued = soa.broadcast_pairs(0, 0, pairs, False, 4, None, None, 4)
         assert queued == 3
@@ -103,6 +120,7 @@ class TestQueueMath:
         # Four consecutive words on one row: every hop but the last is a
         # same-row transition — the burst fast path's precondition.
         assert schedule.next_same_row == (True, True, True, False)
+        _register(soa, 0, 4)
         queued = soa.broadcast_pairs(1, 0, pairs, False, 0, None, None, 0)
         assert queued == 4
 
@@ -115,6 +133,7 @@ class TestQueueMath:
 
     def test_pending_ledger_settles_idle_up_to_call_cycle(self):
         soa = _automaton()
+        _register(soa, 0, 1)
         soa.broadcast_pairs(0, 0, ((3, 0),), False, 9, None, None, 9)
         assert soa.pending[0]
         assert soa.idle_c[0] == 9
@@ -324,3 +343,98 @@ class TestEngineBackendTally:
         lines = []
         PrintProgress(emit=lines.append).batch_complete(metrics)
         assert "2 backend fallbacks (command log attached)" in lines[0]
+
+
+class TestTransactionStaging:
+    """The array backends stage per transaction: no per-bank staging
+    slot is opened, and the per-bank drain/commit checks survive as
+    transaction-level checks (real exceptions, so they hold under -O)."""
+
+    def _trace(self, params):
+        from repro.kernels import build_trace, kernel_by_name
+
+        # copy reads one array and writes another: both polarities.
+        return build_trace(
+            kernel_by_name("copy"), stride=19, elements=128, params=params
+        )
+
+    @pytest.mark.parametrize("sim_mode", [None, "window"])
+    def test_run_opens_no_per_bank_staging_slot(self, monkeypatch, sim_mode):
+        from repro.params import ENV_SIM_MODE
+        from repro.pva.staging import ReadStagingUnit, WriteStagingUnit
+
+        def refuse(unit, txn_id, expected):
+            raise AssertionError("array backend opened a per-bank slot")
+
+        monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+        monkeypatch.setattr(ReadStagingUnit, "open", refuse)
+        monkeypatch.setattr(WriteStagingUnit, "open", refuse)
+        params = SystemParams(sim_mode=sim_mode)
+        system = build_system("pva-sdram", params)
+        result = system.run(self._trace(params))
+        assert result.backend == (sim_mode or "soa")
+        for bank in system.banks:
+            assert len(bank.read_staging) == 0
+            assert len(bank.write_staging) == 0
+
+    def _corrupt_broadcasts(self, monkeypatch, damage):
+        """Wrap the automaton's vector broadcast so ``damage`` can
+        tamper with each freshly queued transaction."""
+        original = SoaBankAutomaton.broadcast_vector
+
+        def broadcast_vector(self, txn_id, *args):
+            total = original(self, txn_id, *args)
+            damage(self.outstanding[txn_id])
+            return total
+
+        monkeypatch.setattr(
+            SoaBankAutomaton, "broadcast_vector", broadcast_vector
+        )
+
+    def test_stage_read_rejects_received_count_mismatch(self, monkeypatch):
+        def stray_element(txn):
+            if not txn.is_write:
+                txn.received.append((0, 0))
+
+        self._corrupt_broadcasts(monkeypatch, stray_element)
+        params = SystemParams(sim_mode="soa")
+        system = build_system("pva-sdram", params)
+        with pytest.raises(ProtocolError, match="STAGE_READ"):
+            system.run(self._trace(params))
+
+    def test_write_retiring_with_wrong_count_raises(self, monkeypatch):
+        def stray_commits(txn):
+            if txn.is_write:
+                txn.done += txn.expected + 1
+
+        self._corrupt_broadcasts(monkeypatch, stray_commits)
+        params = SystemParams(sim_mode="soa")
+        system = build_system("pva-sdram", params)
+        with pytest.raises(ProtocolError, match="committed"):
+            system.run(self._trace(params))
+
+    def test_broadcast_for_unregistered_transaction_raises(self):
+        soa = _automaton()
+        with pytest.raises(ProtocolError, match="unregistered"):
+            soa.broadcast_pairs(0, 5, ((3, 0),), False, 0, None, None, 0)
+
+    def test_registering_past_max_transactions_raises(self):
+        from repro.bus.vector_bus import VectorBus
+        from repro.pva.system import _FrontEnd
+
+        params = SystemParams()
+        system = build_system("pva-sdram", params)
+        front = _FrontEnd(system, (), VectorBus(params), False)
+        for txn_id in range(params.max_transactions + 1):
+            txn = _Transaction(
+                txn_id=txn_id,
+                trace_index=txn_id,
+                is_write=False,
+                issue_cycle=0,
+                expected=1,
+            )
+            if txn_id < params.max_transactions:
+                front._register(txn)
+            else:
+                with pytest.raises(CapacityError):
+                    front._register(txn)
