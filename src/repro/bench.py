@@ -1,46 +1,38 @@
 """Wall-clock benchmark harness for the simulation core.
 
 ``python -m repro bench`` times every registered memory system twice
-over the same workload — once with the reference tick loop
-(``sim_mode="tick"``) and once with the object backend's fast path
-(``sim_mode="precompute"``: the event-driven skip loop plus
-broadcast-time hit schedules; the report's ``skip_*`` keys, kept for
-metric continuity) — and reports simulated-cycles-per-second for each
-mode plus the fast-vs-tick wall-clock speedup.  The workload is the
-stride-19 slice of the section-6.2 evaluation grid (every kernel x
-every alignment), the densest bank-conflict case in the paper and the
-headline configuration tracked in ``BENCH_sim.json``.  The default
-backend, ``sim_mode="soa"`` (the structure-of-arrays bank automaton),
-and ``sim_mode="window"`` are timed against the same slice in sections
-of their own.
+over the same workload — once with the reference (``sim_mode="tick"``:
+the object graph on the cycle-by-cycle loop) and once with the default
+fast backend (``sim_mode="soa"``: the structure-of-arrays bank
+automaton on the next-event skip loop; the report's ``skip_*`` keys,
+kept for metric continuity) — and reports simulated-cycles-per-second
+for each plus the fast-vs-reference wall-clock speedup.  The workload
+is the stride-19 slice of the section-6.2 evaluation grid (every kernel
+x every alignment), the densest bank-conflict case in the paper and the
+headline configuration tracked in ``BENCH_sim.json``.  A throttled
+scenario (``issue_interval=256``) times the same pair on the two PVA
+systems.
 
 Every report carries the resolved canonical config document
 (``config``/``config_key``, from :meth:`GenParams.to_dict`) and the
 harness verifies each section ran that identical configuration (modulo
 the section's declared ``sim_mode``, and ``issue_interval`` for the
-sparse scenario) before publishing numbers.
+throttled scenario) before publishing numbers.
 
-The harness also cross-checks correctness for free: both modes must
-report identical total cycle counts, or the run aborts — a benchmark of
-a wrong simulator is worthless.
+The harness also cross-checks correctness for free: both backends must
+report identical total cycle counts and attribution ledgers, or the run
+aborts — a benchmark of a wrong simulator is worthless.
 
 Methodology notes:
 
 * traces are built outside the timed region; the timer covers system
-  construction plus simulation, the same work either run loop does;
+  construction plus simulation, the same work either backend does;
 * each (system, mode) measurement is repeated ``repeats`` times and the
   **best** wall time is kept (the usual minimum-of-N noise filter);
-* the ``REPRO_TIME_SKIP`` and ``REPRO_SIM_MODE`` environment overrides
-  are suspended for the duration so the modes really are what they
-  claim to be.
-
-Two kinds of baseline appear in the report.  *Measured* rates come from
-this run, on this machine.  *Recorded* rates are constants frozen into
-this module from the ``BENCH_sim.json`` of the run that preceded an
-optimization layer — the denominators CI gates hold speedups against.
-Both are reported side by side so a stale recorded constant is visible
-as a recorded-vs-measured gap instead of silently inflating (or
-deflating) ``speedup_vs_baseline`` on faster or slower hardware.
+* the ``REPRO_SIM_MODE`` environment override is suspended for the
+  duration so the modes really are what they claim to be;
+* every speed gate compares rates measured in the same run, so it
+  gates the backends' relative cost rather than runner speed.
 """
 
 from __future__ import annotations
@@ -58,7 +50,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.grid import EVAL_KERNELS
 from repro.kernels import ALIGNMENTS, build_trace, kernel_by_name
 from repro.params import ENV_SIM_MODE, SystemParams
-from repro.sim.events import ENV_TOGGLE
 
 __all__ = [
     "HEADLINE_STRIDE",
@@ -70,28 +61,6 @@ __all__ = [
 
 #: The grid slice the benchmark times: the paper's worst-case stride.
 HEADLINE_STRIDE = 19
-
-#: pva-sdram dense stride-19 tick rate (cycles/second) recorded in
-#: BENCH_sim.json immediately before the hit-schedule precompute layer
-#: landed.  Reported next to the measured rate so host drift stays
-#: visible; every ``--min-*-speedup`` CI gate holds against rates
-#: measured in the same run instead (recorded constants made the gates
-#: fail on slower shared runners with nothing actually regressed).
-BASELINE_TICK_CYCLES_PER_SECOND = 18099.8
-
-#: pva-sdram dense stride-19 cycles/second recorded in BENCH_sim.json
-#: immediately before the structure-of-arrays bank automaton landed —
-#: reported for drift visibility, as above.  (ROADMAP.md quotes the
-#: same figure as "~38.6k cycles/sec".)
-BASELINE_DENSE_CYCLES_PER_SECOND = 38600.0
-
-#: pva-sdram dense stride-19 ``soa_cycles_per_second`` recorded in
-#: BENCH_sim.json immediately before the closed-form window backend
-#: landed — the recorded denominator the window section reports next to
-#: its measured-SoA speedup (the ``--min-window-speedup`` gate holds
-#: against the *measured* SoA rate of the same run, so it survives
-#: hardware changes; the recorded constant makes drift visible).
-BASELINE_SOA_CYCLES_PER_SECOND = 66195.1
 
 #: ``--quick`` workload (CI smoke): two kernels, one alignment.
 QUICK_KERNELS = ("copy", "saxpy")
@@ -201,13 +170,14 @@ def run_bench(
     params: Optional[SystemParams] = None,
     profile: Optional[str] = None,
 ) -> Dict:
-    """Benchmark tick vs skip on the stride-``stride`` grid slice.
+    """Benchmark the reference against the fast backend on the
+    stride-``stride`` grid slice.
 
     Returns the ``BENCH_sim.json`` document: per-system wall seconds,
-    simulated cycles and cycles/second for both run loops, the summed
+    simulated cycles and cycles/second for both backends, the summed
     per-component busy/stalled/idle attribution of the workload, plus
     the aggregate slice ("grid") totals and the headline ``speedup``.
-    Raises :class:`~repro.errors.ConfigurationError` if the two modes
+    Raises :class:`~repro.errors.ConfigurationError` if the two backends
     disagree on any system's total cycle count or attribution ledger,
     or if any run's ledger fails to sum to its cycle count.
     """
@@ -217,22 +187,21 @@ def run_bench(
         raise ConfigurationError(f"unknown system(s): {sorted(unknown)}")
     cases = _cases(quick)
 
-    # Suspend the environment overrides *before* building any params —
-    # a forced global mode must not warp the backend matrix each
-    # section claims to time.
-    saved_env = os.environ.pop(ENV_TOGGLE, None)
+    # Suspend the environment override *before* building any params —
+    # a forced global mode must not warp the backend pair each section
+    # claims to time.
     saved_mode_env = os.environ.pop(ENV_SIM_MODE, None)
     try:
         base = params or SystemParams()
         tick_params = replace(base, sim_mode="tick")
-        skip_params = replace(base, sim_mode="precompute")
+        skip_params = replace(base, sim_mode="soa")
         for section, section_params in (
             ("tick", tick_params),
             ("skip", skip_params),
         ):
             _assert_same_config(base, section_params, section)
         report: Dict = {
-            "benchmark": "tick-vs-skip",
+            "benchmark": "tick-vs-soa",
             "stride": stride,
             "elements": elements,
             "repeats": max(1, repeats),
@@ -247,45 +216,35 @@ def run_bench(
         tick_total = 0.0
         skip_total = 0.0
         for name in names:
-            traces_tick = [
+            traces = [
                 build_trace(
                     kernel_by_name(kernel),
                     stride=stride,
-                    params=tick_params,
-                    elements=elements,
-                    alignment=alignment,
-                )
-                for kernel, alignment in cases
-            ]
-            traces_skip = [
-                build_trace(
-                    kernel_by_name(kernel),
-                    stride=stride,
-                    params=skip_params,
+                    params=base,
                     elements=elements,
                     alignment=alignment,
                 )
                 for kernel, alignment in cases
             ]
             tick = _time_mode(
-                name, tick_params, traces_tick, repeats,
+                name, tick_params, traces, repeats,
                 profile_dir=profile, section="tick",
             )
             skip = _time_mode(
-                name, skip_params, traces_skip, repeats,
+                name, skip_params, traces, repeats,
                 profile_dir=profile, section="skip",
             )
             if tick["cycles"] != skip["cycles"]:
                 raise ConfigurationError(
-                    f"{name}: tick and skip disagree on total cycles "
+                    f"{name}: tick and soa disagree on total cycles "
                     f"({tick['cycles']} vs {skip['cycles']}) — the "
-                    "time-skip engine is broken; refusing to benchmark it"
+                    "fast backend is broken; refusing to benchmark it"
                 )
             if tick["attribution"] != skip["attribution"]:
                 raise ConfigurationError(
-                    f"{name}: tick and skip disagree on the per-component "
+                    f"{name}: tick and soa disagree on the per-component "
                     "attribution ledger — cycle attribution must be "
-                    "independent of the run-loop mode"
+                    "independent of the backend"
                 )
             tick_total += tick["seconds"]
             skip_total += skip["seconds"]
@@ -321,12 +280,11 @@ def run_bench(
             round(tick_total / skip_total, 3) if skip_total > 0 else 0.0
         )
 
-        # Secondary scenario: a finite-rate processor (issue_interval)
+        # Throttled scenario: a finite-rate processor (issue_interval)
         # leaves real idle gaps between commands — the regime next-event
-        # skipping exists for.  The dense slice above is bus-limited
-        # (events on most cycles), so its ratio is Amdahl-capped; here
-        # tick cost grows with simulated cycles while skip cost stays
-        # proportional to events.
+        # skipping exists for.  Here tick cost grows with simulated
+        # cycles while the fast backend's cost stays proportional to
+        # events.
         sparse_interval = 256
         sparse_cases = _cases(True)  # the quick kernels x one alignment
         sparse_tick = 0.0
@@ -358,13 +316,13 @@ def run_bench(
             if tick["cycles"] != skip["cycles"]:
                 raise ConfigurationError(
                     f"{name} (issue_interval={sparse_interval}): tick and "
-                    f"skip disagree on total cycles ({tick['cycles']} vs "
+                    f"soa disagree on total cycles ({tick['cycles']} vs "
                     f"{skip['cycles']})"
                 )
             if tick["attribution"] != skip["attribution"]:
                 raise ConfigurationError(
                     f"{name} (issue_interval={sparse_interval}): tick and "
-                    "skip disagree on the per-component attribution ledger"
+                    "soa disagree on the per-component attribution ledger"
                 )
             sparse_tick += tick["seconds"]
             sparse_skip += skip["seconds"]
@@ -378,230 +336,8 @@ def run_bench(
                 "speedup": round(sparse_tick / sparse_skip, 3),
             }
 
-        # Tertiary scenario: the broadcast-time hit-schedule precompute
-        # (repro.pva.schedule) against the incremental FirstHit/NextHit
-        # expansion it replaces — sim_mode="precompute" vs
-        # sim_mode="skip", both on the event-driven loop, on the
-        # headline pva-sdram system.  The two paths must agree on
-        # cycles *and* the attribution ledger — the precompute layer is
-        # a pure representation change.
-        if "pva-sdram" in names:
-            pre_params = replace(base, sim_mode="precompute")
-            inc_params = replace(base, sim_mode="skip")
-            _assert_same_config(base, pre_params, "precompute")
-            _assert_same_config(base, inc_params, "incremental")
-            traces = [
-                build_trace(
-                    kernel_by_name(kernel),
-                    stride=stride,
-                    params=pre_params,
-                    elements=elements,
-                    alignment=alignment,
-                )
-                for kernel, alignment in cases
-            ]
-            pre = _time_mode(
-                "pva-sdram", pre_params, traces, repeats,
-                profile_dir=profile, section="precompute",
-            )
-            inc = _time_mode(
-                "pva-sdram", inc_params, traces, repeats,
-                profile_dir=profile, section="incremental",
-            )
-            if pre["cycles"] != inc["cycles"]:
-                raise ConfigurationError(
-                    "pva-sdram: precomputed and incremental expansion "
-                    f"disagree on total cycles ({pre['cycles']} vs "
-                    f"{inc['cycles']}) — the hit-schedule table is broken; "
-                    "refusing to benchmark it"
-                )
-            if pre["attribution"] != inc["attribution"]:
-                raise ConfigurationError(
-                    "pva-sdram: precomputed and incremental expansion "
-                    "disagree on the per-component attribution ledger"
-                )
-            pre_rate = (
-                pre["cycles"] / pre["seconds"] if pre["seconds"] > 0 else 0.0
-            )
-            report["precompute"] = {
-                "system": "pva-sdram",
-                "simulated_cycles": pre["cycles"],
-                "precompute_seconds": round(pre["seconds"], 4),
-                "incremental_seconds": round(inc["seconds"], 4),
-                "precompute_cycles_per_second": round(pre_rate, 1),
-                "incremental_cycles_per_second": round(
-                    inc["cycles"] / inc["seconds"], 1
-                )
-                if inc["seconds"] > 0
-                else 0.0,
-                "speedup": round(inc["seconds"] / pre["seconds"], 3)
-                if pre["seconds"] > 0
-                else 0.0,
-                # Recorded vs measured baseline, side by side: the
-                # recorded constant (the pre-precompute-era tick rate)
-                # keeps host drift visible across runs; the CI gate
-                # (``--min-precompute-speedup``) holds against the
-                # same-run ``speedup`` instead, so it gates the
-                # algorithmic win rather than runner speed.
-                "baseline_tick_cycles_per_second": (
-                    BASELINE_TICK_CYCLES_PER_SECOND
-                ),
-                "measured_incremental_cycles_per_second": round(
-                    inc["cycles"] / inc["seconds"], 1
-                )
-                if inc["seconds"] > 0
-                else 0.0,
-                "speedup_vs_baseline": round(
-                    pre_rate / BASELINE_TICK_CYCLES_PER_SECOND, 3
-                ),
-            }
-
-        # Quaternary scenario: the structure-of-arrays bank automaton
-        # (sim_mode="soa") against the same dense slice.  The main
-        # section's pva-sdram entry already cross-checked tick against
-        # skip; here the SoA run must reproduce the *tick* loop's cycle
-        # count and per-component attribution ledger exactly — three
-        # backends, one answer.
-        if "pva-sdram" in names:
-            soa_params = replace(base, sim_mode="soa")
-            _assert_same_config(base, soa_params, "soa")
-            traces = [
-                build_trace(
-                    kernel_by_name(kernel),
-                    stride=stride,
-                    params=soa_params,
-                    elements=elements,
-                    alignment=alignment,
-                )
-                for kernel, alignment in cases
-            ]
-            soa = _time_mode(
-                "pva-sdram", soa_params, traces, repeats,
-                profile_dir=profile, section="soa",
-            )
-            dense = report["systems"]["pva-sdram"]
-            if soa["cycles"] != dense["simulated_cycles"]:
-                raise ConfigurationError(
-                    "pva-sdram: sim_mode='soa' disagrees with the tick "
-                    f"loop on total cycles ({soa['cycles']} vs "
-                    f"{dense['simulated_cycles']}) — the bank automaton "
-                    "is broken; refusing to benchmark it"
-                )
-            if soa["attribution"] != dense["attribution"]:
-                raise ConfigurationError(
-                    "pva-sdram: sim_mode='soa' disagrees with the tick "
-                    "loop on the per-component attribution ledger"
-                )
-            soa_rate = (
-                soa["cycles"] / soa["seconds"] if soa["seconds"] > 0 else 0.0
-            )
-            measured_pre = dense["skip_cycles_per_second"]
-            report["soa"] = {
-                "system": "pva-sdram",
-                "simulated_cycles": soa["cycles"],
-                "soa_seconds": round(soa["seconds"], 4),
-                "soa_cycles_per_second": round(soa_rate, 1),
-                # Recorded vs measured baseline, as in the precompute
-                # section: the recorded dense rate keeps host drift
-                # visible; the CI gate (``--min-soa-speedup``) holds
-                # against the measured precompute rate of the same run
-                # (the dense slice's skip timing).
-                "baseline_recorded_cycles_per_second": (
-                    BASELINE_DENSE_CYCLES_PER_SECOND
-                ),
-                "baseline_measured_cycles_per_second": measured_pre,
-                "speedup_vs_recorded_baseline": round(
-                    soa_rate / BASELINE_DENSE_CYCLES_PER_SECOND, 3
-                ),
-                "speedup_vs_measured_precompute": round(
-                    soa_rate / measured_pre, 3
-                )
-                if measured_pre > 0
-                else 0.0,
-                "attribution": {
-                    component: dict(buckets)
-                    for component, buckets in sorted(
-                        soa["attribution"].items()
-                    )
-                },
-            }
-
-        # Quinary scenario: the closed-form window backend
-        # (sim_mode="window") against the same dense slice.  Like the
-        # SoA section it must reproduce the tick loop's cycle count and
-        # attribution ledger exactly; its headline figure is the
-        # speedup over the *measured* SoA rate of this very run (the
-        # backend it replaces at the top of the ladder), with the
-        # recorded pre-window SoA rate published beside it.
-        if "pva-sdram" in names and "soa" in report:
-            window_params = replace(base, sim_mode="window")
-            _assert_same_config(base, window_params, "window")
-            traces = [
-                build_trace(
-                    kernel_by_name(kernel),
-                    stride=stride,
-                    params=window_params,
-                    elements=elements,
-                    alignment=alignment,
-                )
-                for kernel, alignment in cases
-            ]
-            window = _time_mode(
-                "pva-sdram", window_params, traces, repeats,
-                profile_dir=profile, section="window",
-            )
-            dense = report["systems"]["pva-sdram"]
-            if window["cycles"] != dense["simulated_cycles"]:
-                raise ConfigurationError(
-                    "pva-sdram: sim_mode='window' disagrees with the tick "
-                    f"loop on total cycles ({window['cycles']} vs "
-                    f"{dense['simulated_cycles']}) — the closed-form "
-                    "resolution is broken; refusing to benchmark it"
-                )
-            if window["attribution"] != dense["attribution"]:
-                raise ConfigurationError(
-                    "pva-sdram: sim_mode='window' disagrees with the tick "
-                    "loop on the per-component attribution ledger"
-                )
-            window_rate = (
-                window["cycles"] / window["seconds"]
-                if window["seconds"] > 0
-                else 0.0
-            )
-            measured_soa = report["soa"]["soa_cycles_per_second"]
-            report["window"] = {
-                "system": "pva-sdram",
-                "simulated_cycles": window["cycles"],
-                "window_seconds": round(window["seconds"], 4),
-                "window_cycles_per_second": round(window_rate, 1),
-                # Recorded vs measured, as in the other sections: the
-                # recorded constant is the pre-window SoA rate frozen
-                # from BENCH_sim.json; the measured denominator is the
-                # SoA backend timed moments ago in this same run, which
-                # is what the CI gate holds the speedup against.
-                "baseline_recorded_soa_cycles_per_second": (
-                    BASELINE_SOA_CYCLES_PER_SECOND
-                ),
-                "baseline_measured_soa_cycles_per_second": measured_soa,
-                "speedup_vs_recorded_soa": round(
-                    window_rate / BASELINE_SOA_CYCLES_PER_SECOND, 3
-                ),
-                "speedup_vs_measured_soa": round(
-                    window_rate / measured_soa, 3
-                )
-                if measured_soa > 0
-                else 0.0,
-                "attribution": {
-                    component: dict(buckets)
-                    for component, buckets in sorted(
-                        window["attribution"].items()
-                    )
-                },
-            }
         return report
     finally:
-        if saved_env is not None:
-            os.environ[ENV_TOGGLE] = saved_env
         if saved_mode_env is not None:
             os.environ[ENV_SIM_MODE] = saved_mode_env
 
@@ -627,8 +363,8 @@ def format_bench(report: Dict) -> str:
             "system",
             "sim cycles",
             "tick s",
-            "skip s",
-            "skip cyc/s",
+            "soa s",
+            "soa cyc/s",
             "speedup",
         ),
         rows,
@@ -637,7 +373,7 @@ def format_bench(report: Dict) -> str:
         f"stride-{report['stride']} slice ({report['elements']} elements, "
         f"best of {report['repeats']}): "
         f"tick {report['grid']['tick_seconds']:.2f}s, "
-        f"skip {report['grid']['skip_seconds']:.2f}s — "
+        f"soa {report['grid']['skip_seconds']:.2f}s — "
         f"speedup {report['speedup']:.2f}x"
     )
     sparse = report.get("sparse")
@@ -646,50 +382,8 @@ def format_bench(report: Dict) -> str:
             f"\nthrottled front end (issue_interval="
             f"{sparse['issue_interval']}): "
             f"tick {sparse['tick_seconds']:.2f}s, "
-            f"skip {sparse['skip_seconds']:.2f}s — "
+            f"soa {sparse['skip_seconds']:.2f}s — "
             f"speedup {sparse['speedup']:.2f}x"
-        )
-    pre = report.get("precompute")
-    if pre:
-        summary += (
-            f"\nhit-schedule precompute ({pre['system']}, skip loop): "
-            f"precomputed {pre['precompute_seconds']:.2f}s "
-            f"({pre['precompute_cycles_per_second'] / 1000.0:.0f}k cyc/s), "
-            f"incremental {pre['incremental_seconds']:.2f}s — "
-            f"speedup {pre['speedup']:.2f}x vs incremental, "
-            f"{pre['speedup_vs_baseline']:.2f}x vs recorded tick baseline "
-            f"({pre['baseline_tick_cycles_per_second'] / 1000.0:.1f}k "
-            f"recorded, "
-            f"{pre['measured_incremental_cycles_per_second'] / 1000.0:.1f}k "
-            f"measured incremental)"
-        )
-    soa = report.get("soa")
-    if soa:
-        summary += (
-            f"\nSoA bank automaton ({soa['system']}): "
-            f"{soa['soa_seconds']:.2f}s "
-            f"({soa['soa_cycles_per_second'] / 1000.0:.0f}k cyc/s) — "
-            f"{soa['speedup_vs_recorded_baseline']:.2f}x vs recorded "
-            f"baseline "
-            f"({soa['baseline_recorded_cycles_per_second'] / 1000.0:.1f}k "
-            f"recorded, "
-            f"{soa['baseline_measured_cycles_per_second'] / 1000.0:.1f}k "
-            f"measured precompute), "
-            f"{soa['speedup_vs_measured_precompute']:.2f}x vs measured "
-            f"precompute"
-        )
-    window = report.get("window")
-    if window:
-        summary += (
-            f"\nclosed-form window backend ({window['system']}): "
-            f"{window['window_seconds']:.2f}s "
-            f"({window['window_cycles_per_second'] / 1000.0:.0f}k cyc/s) — "
-            f"{window['speedup_vs_measured_soa']:.2f}x vs measured SoA "
-            f"({window['baseline_measured_soa_cycles_per_second'] / 1000.0:.1f}k"
-            f" measured, "
-            f"{window['baseline_recorded_soa_cycles_per_second'] / 1000.0:.1f}k"
-            f" recorded), "
-            f"{window['speedup_vs_recorded_soa']:.2f}x vs recorded SoA"
         )
     return f"{table}\n{summary}"
 
@@ -709,22 +403,6 @@ def history_record(report: Dict) -> Dict:
     if dense:
         record["tick_cycles_per_second"] = dense["tick_cycles_per_second"]
         record["skip_cycles_per_second"] = dense["skip_cycles_per_second"]
-    pre = report.get("precompute")
-    if pre:
-        record["precompute_cycles_per_second"] = pre[
-            "precompute_cycles_per_second"
-        ]
-    soa = report.get("soa")
-    if soa:
-        record["soa_cycles_per_second"] = soa["soa_cycles_per_second"]
-    window = report.get("window")
-    if window:
-        record["window_cycles_per_second"] = window[
-            "window_cycles_per_second"
-        ]
-        record["window_speedup_vs_measured_soa"] = window[
-            "speedup_vs_measured_soa"
-        ]
     return record
 
 
@@ -762,66 +440,10 @@ def main(args: argparse.Namespace) -> int:
             print(f"appended {history}", file=sys.stderr)
     if args.min_speedup is not None and report["speedup"] < args.min_speedup:
         print(
-            f"error: speedup {report['speedup']:.3f}x below required "
+            f"error: soa is only {report['speedup']:.3f}x faster than the "
+            f"tick reference in the same run; required "
             f"{args.min_speedup:.3f}x",
             file=sys.stderr,
         )
         return 1
-    min_pre = getattr(args, "min_precompute_speedup", None)
-    if min_pre is not None:
-        pre = report.get("precompute")
-        if pre is None:
-            print(
-                "error: --min-precompute-speedup given but the workload "
-                "did not include the pva-sdram precompute section",
-                file=sys.stderr,
-            )
-            return 1
-        if pre["speedup"] < min_pre:
-            print(
-                f"error: precompute tick rate "
-                f"{pre['precompute_cycles_per_second']:.0f} cyc/s is only "
-                f"{pre['speedup']:.3f}x the incremental rate measured in "
-                f"the same run; required {min_pre:.3f}x",
-                file=sys.stderr,
-            )
-            return 1
-    min_soa = getattr(args, "min_soa_speedup", None)
-    if min_soa is not None:
-        soa = report.get("soa")
-        if soa is None:
-            print(
-                "error: --min-soa-speedup given but the workload did not "
-                "include the pva-sdram SoA section",
-                file=sys.stderr,
-            )
-            return 1
-        if soa["speedup_vs_measured_precompute"] < min_soa:
-            print(
-                f"error: SoA rate {soa['soa_cycles_per_second']:.0f} cyc/s "
-                f"is only {soa['speedup_vs_measured_precompute']:.3f}x the "
-                f"precompute rate measured in the same run; required "
-                f"{min_soa:.3f}x",
-                file=sys.stderr,
-            )
-            return 1
-    min_window = getattr(args, "min_window_speedup", None)
-    if min_window is not None:
-        window = report.get("window")
-        if window is None:
-            print(
-                "error: --min-window-speedup given but the workload did "
-                "not include the pva-sdram window section",
-                file=sys.stderr,
-            )
-            return 1
-        if window["speedup_vs_measured_soa"] < min_window:
-            print(
-                f"error: window rate "
-                f"{window['window_cycles_per_second']:.0f} cyc/s is only "
-                f"{window['speedup_vs_measured_soa']:.3f}x the measured "
-                f"SoA rate in the same run; required {min_window:.3f}x",
-                file=sys.stderr,
-            )
-            return 1
     return 0

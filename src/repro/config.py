@@ -74,32 +74,31 @@ __all__ = [
 #: cached result documents record the producing mode, so the enum
 #: widening must invalidate them.  v6: the default ``sim_mode`` moves
 #: from ``"precompute"`` to ``"soa"``, which moves the canonical
-#: document of every default-built config.
+#: document of every default-built config.  Narrowing the ladder to
+#: ``tick``/``soa`` needs no bump: both surviving labels mean what they
+#: meant at v6, so every cached document stays valid.
 CONFIG_SCHEMA_VERSION = 6
 
-#: The five simulation backends, from slowest/most-literal to fastest.
-#: Each mode is bit-exact with the others (``RunResult`` equality is
-#: held by the differential suites); they differ only in how the
-#: machine is stepped:
+#: The two simulation backends.  They are bit-exact with each other
+#: (``RunResult`` equality, attribution ledger included, is held by the
+#: differential suite ``tests/sim/test_time_skip_equivalence.py``); they
+#: differ only in how the machine is stepped:
 #:
-#: * ``"tick"`` — reference loop, every component ticked every cycle.
-#: * ``"skip"`` — next-event time skipping, incremental FirstHit expansion.
-#: * ``"precompute"`` — time skipping + broadcast-time hit schedules.
-#: * ``"soa"`` (the default) — precompute + the structure-of-arrays
-#:   bank automaton: all banks stepped as flat-array operations
-#:   (:mod:`repro.pva.soa`).  Runs it cannot take (attached command
-#:   logs, exotic devices) fall back to the object backend, and say so
-#:   in :attr:`RunResult.backend <repro.sim.stats.RunResult.backend>`.
-#: * ``"window"`` — soa + closed-form broadcast-window resolution:
-#:   whole per-bank service chains charged arithmetically from the
-#:   precomputed hit schedules instead of event-stepped
-#:   (:mod:`repro.pva.window`).
-SIM_MODES = ("tick", "skip", "precompute", "soa", "window")
+#: * ``"tick"`` — the reference: the bank-controller object graph on the
+#:   cycle-by-cycle loop, expanding each request incrementally through
+#:   the FHP/FHC FirstHit/NextHit logic (sections 4.1 and 5.2).
+#: * ``"soa"`` (the default) — the fast backend: the structure-of-arrays
+#:   bank automaton (:mod:`repro.pva.soa`) on the next-event time-skip
+#:   loop, with broadcast-time hit schedules.  Runs it cannot take
+#:   (attached command logs, exotic devices) fall back to the reference
+#:   itself, and say so in :attr:`RunResult.backend
+#:   <repro.sim.stats.RunResult.backend>`.
+SIM_MODES = ("tick", "soa")
 
-#: Environment variable overriding ``sim_mode`` at construction time
-#: (mirrors ``REPRO_TIME_SKIP`` for the run loop): any of
-#: :data:`SIM_MODES` forces that backend for every config object built
-#: while it is set; empty or ``auto`` defers to the configuration.
+#: Environment variable overriding ``sim_mode`` at construction time —
+#: the only backend override: any of :data:`SIM_MODES` forces that
+#: backend for every config object built while it is set; empty or
+#: ``auto`` defers to the configuration.
 ENV_SIM_MODE = "REPRO_SIM_MODE"
 
 #: Valid scheduler row-management policies.  Kept in lock-step with
@@ -125,6 +124,10 @@ def canonical_sim_mode(mode: str) -> str:
     """Validate ``mode`` against :data:`SIM_MODES` and apply the
     ``REPRO_SIM_MODE`` environment override (which, when set to a mode
     name, wins wholesale)."""
+    if mode not in SIM_MODES:
+        raise ConfigurationError(
+            f"sim_mode must be one of {SIM_MODES}, got {mode!r}"
+        )
     env = os.environ.get(ENV_SIM_MODE)
     if env is not None:
         env = env.strip().lower()
@@ -135,10 +138,6 @@ def canonical_sim_mode(mode: str) -> str:
                     f"(or empty/'auto'), got {env!r}"
                 )
             return env
-    if mode not in SIM_MODES:
-        raise ConfigurationError(
-            f"sim_mode must be one of {SIM_MODES}, got {mode!r}"
-        )
     return mode
 
 
@@ -427,18 +426,6 @@ class GenParams:
     def max_vector_length(self) -> int:
         """Longest vector one bus command may carry (one cache line)."""
         return self.cache_line_words
-
-    @property
-    def uses_time_skip(self) -> bool:
-        """Whether this mode runs the next-event skip loop (every mode
-        except the reference ``tick`` loop)."""
-        return self.sim_mode != "tick"
-
-    @property
-    def uses_precompute(self) -> bool:
-        """Whether this mode expands broadcast-time hit schedules
-        (:mod:`repro.pva.schedule`)."""
-        return self.sim_mode in ("precompute", "soa", "window")
 
     # ---------------------------------------------------- serialization
 

@@ -85,7 +85,7 @@ class EngineMetrics:
 
     @property
     def fallbacks(self) -> int:
-        """Executions that requested an array backend but fell back to
+        """Executions that requested the fast backend but fell back to
         the object backend (labelled ``"object: <reason>"``)."""
         return sum(self._fallback_counts().values())
 

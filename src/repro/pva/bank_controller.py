@@ -22,10 +22,11 @@ from repro.errors import CapacityError
 from repro.params import SystemParams
 from repro.pva.fhp import FirstHitCalculator, FirstHitPredictor
 from repro.pva.request import BCRequest
-from repro.pva.schedule import pairs_schedule, stride_schedule
+# Unused here; perfbench/instrument.py patches these two names on this
+# module and perfbench/tests checks them, so they stay importable.
+from repro.pva.schedule import pairs_schedule, stride_schedule  # noqa: F401
 from repro.pva.scheduler import AccessScheduler, IssuedColumn
 from repro.pva.staging import ReadStagingUnit, WriteStagingUnit
-from repro.sim.events import HORIZON
 from repro.types import Vector
 
 __all__ = ["BankController"]
@@ -44,11 +45,7 @@ class BankController:
         "scheduler",
         "read_staging",
         "write_staging",
-        "time_skip",
-        "fast_gating",
         "acted",
-        "_geom",
-        "_skip_until",
         "_check_refresh",
     )
 
@@ -62,34 +59,16 @@ class BankController:
         self.scheduler = AccessScheduler(params, device, bank)
         self.read_staging = ReadStagingUnit(params.max_transactions)
         self.write_staging = WriteStagingUnit(params.max_transactions)
-        #: Set by the front end when the time-skip run loop is active;
-        #: gates the per-bank stall cache below.
-        self.time_skip = False
-        #: The PR's tick-mode fast path: reuse the quiet/stall gating the
-        #: skip loop already proves cycle-exact, even under plain ticking.
-        self.fast_gating = params.uses_precompute
         #: Did the last tick() change any state (refresh, dequeue, row or
         #: column operation)?  The system component reads this instead of
         #: diffing operation counters.
         self.acted = False
-        #: Geometry descriptor handed to the hit-schedule precompute;
-        #: ``None`` (unknown device, or precompute disabled) keeps every
-        #: request on the incremental expansion path.
-        self._geom = (
-            getattr(device, "schedule_geometry", None)
-            if params.uses_precompute
-            else None
-        )
         #: Refresh is consulted per tick only when the device actually
         #: schedules refreshes (None-ness of next_refresh_cycle is fixed
         #: at construction).
         self._check_refresh = (
             device.has_rows and device.next_refresh_cycle is not None
         )
-        #: :meth:`tick` is a provable no-op on every cycle strictly
-        #: before this bound (recomputed after an unproductive tick,
-        #: reset whenever a broadcast hands the bank new work).
-        self._skip_until = 0
 
     # ----------------------------------------------------------------- #
     # Bus-side interface
@@ -117,27 +96,8 @@ class BankController:
 
         Returns this bank's element count for the transaction.
         """
-        if self._geom is not None:
-            # Broadcast-time precompute: the full hit table, memoized on
-            # the vector/geometry value, replaces the FHP subvector
-            # entirely (both evaluate theorem 4.3 — the equivalence is
-            # fuzzed by tests/pva/test_schedule.py).  The vector context
-            # runs on the table's cursor, so the incremental sub/step
-            # fields stay unused.
-            schedule = stride_schedule(
-                vector.base,
-                vector.stride,
-                vector.length,
-                self.bank,
-                self.params.num_banks,
-                self._geom,
-            )
-            sub = None
-            expected = 0 if schedule is None else schedule.count
-        else:
-            schedule = None
-            sub = self.fhp.predict(vector)
-            expected = 0 if sub is None else sub.count
+        sub = self.fhp.predict(vector)
+        expected = 0 if sub is None else sub.count
         if is_write:
             self.write_staging.open(txn_id, expected)
         else:
@@ -161,26 +121,18 @@ class BankController:
         else:
             # FHC multiply-add path; arrival is the RQF-write cycle.
             ready_cycle = self.fhc.schedule(cycle + 1, idle)
-        if schedule is not None:
-            local_first = schedule.local_words[0]
-            local_step = 0  # cursor mode never reads the step
-        else:
-            local_first = self.fhp.local_address(sub.first_address)
-            local_step = self.fhp.local_step(sub)
         req = BCRequest(
             txn_id=txn_id,
             vector=vector,
             is_write=is_write,
             sub=sub,
-            local_first=local_first,
-            local_step=local_step,
+            local_first=self.fhp.local_address(sub.first_address),
+            local_step=self.fhp.local_step(sub),
             acc=True,
             ready_cycle=ready_cycle,
             write_line=write_line,
-            schedule=schedule,
         )
         self.rqf.append(req)
-        self._skip_until = 0
         return expected
 
     def broadcast_explicit(
@@ -264,80 +216,9 @@ class BankController:
                 ready_cycle=ready_cycle,
                 write_line=write_line,
                 explicit=pairs,
-                schedule=(
-                    pairs_schedule(pairs, self._geom)
-                    if self._geom is not None
-                    else None
-                ),
             )
         )
-        self._skip_until = 0
         return expected
-
-    # ----------------------------------------------------------------- #
-    # Time-skip lower bounds
-    # ----------------------------------------------------------------- #
-
-    def quiet_at(self, cycle: int) -> bool:
-        """May the front end skip this bank's :meth:`tick` this cycle?
-
-        True while the bank sits inside a cached stall window
-        (``_skip_until``, computed after an unproductive tick) or is
-        fully idle.  Purely an optimization gate: the cached bound is
-        reset whenever a broadcast delivers new work, and every other
-        input to :meth:`tick` is bank-private, so a skipped call is
-        exactly a call that would have done nothing.
-        """
-        return cycle < self._skip_until or self.idle_at(cycle)
-
-    def idle_at(self, cycle: int) -> bool:
-        """Is :meth:`tick` provably a no-op this cycle?
-
-        True when nothing is queued, no vector context is in flight, and
-        no auto-refresh is due — the front end's fast path skips the
-        call entirely.  Conservative: False merely means "tick normally".
-        """
-        if self.rqf or self.scheduler.window:
-            return False
-        if self.device.has_rows:
-            refresh = self.device.next_refresh_cycle
-            if refresh is not None and refresh <= cycle:
-                return False
-        return True
-
-    def next_event_cycle(self, cycle: int) -> int:
-        """Earliest cycle at or after ``cycle`` at which this bank
-        controller could do observable work: the next auto-refresh, the
-        request-FIFO head's ready cycle (when a vector context is free
-        to receive it), or the access scheduler's own bound.  A request
-        stuck behind a full context window contributes nothing — it can
-        only unblock through a context completing, which is an event in
-        its own right.
-
-        The result is cached in ``_skip_until``: every input is
-        bank-private except the broadcasts, which reset the cache, so
-        the bound stays valid until the bank next ticks or hears a
-        command — both the front end's skip loop and :meth:`quiet_at`
-        read it for free in between.
-        """
-        if cycle < self._skip_until:
-            return self._skip_until
-        bound = HORIZON
-        if self.device.has_rows:
-            refresh = self.device.next_refresh_cycle
-            if refresh is not None and refresh < bound:
-                bound = refresh
-        if self.rqf and self.scheduler.has_free_context:
-            ready = self.rqf[0].ready_cycle
-            if ready < bound:
-                bound = ready
-        sched = self.scheduler.next_event_cycle(cycle)
-        if sched < bound:
-            bound = sched
-        if bound <= cycle:
-            return cycle
-        self._skip_until = bound
-        return bound
 
     # ----------------------------------------------------------------- #
     # Clock
@@ -371,16 +252,8 @@ class BankController:
                 self.read_staging.collect(
                     issued.txn_id, issued.index, issued.value or 0, issued.data_cycle
                 )
-        elif sched.acted or progressed:
-            self.acted = True
         else:
-            self.acted = False
-            if self.time_skip or self.fast_gating:
-                # An unproductive cycle: cache how long time alone keeps
-                # it so (next_event_cycle stores the bound in
-                # _skip_until), letting the front end skip the next
-                # ticks outright.
-                self.next_event_cycle(cycle)
+            self.acted = sched.acted or progressed
         return issued
 
     # ----------------------------------------------------------------- #

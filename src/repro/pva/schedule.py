@@ -5,8 +5,9 @@ The paper's central observation is that ``FirstHit()``/``NextHit()``
 ``<B, S, L>`` is broadcast, every bank controller can derive its entire
 subvector — indices, local word addresses, even the decoded SDRAM
 coordinates — without waiting for the per-cycle expansion to walk there.
-The simulator used to exploit this only one element at a time (the
-vector context's shift-and-add); this module exploits it wholesale.
+The reference backend exploits this one element at a time (the vector
+context's shift-and-add); this module exploits it wholesale for the fast
+backend (:mod:`repro.pva.soa`).
 
 A :class:`BankSchedule` is one bank's complete hit table for one vector
 command, precomputed at broadcast time as flat integer tuples:
@@ -21,8 +22,8 @@ command, precomputed at broadcast time as flat integer tuples:
   hit the same (internal bank, row) as element ``j``?  This is exactly
   the ``bank_morehit_predict`` self-term of the ManageRow heuristic.
 
-The vector contexts then *consume a cursor* into the table instead of
-recomputing decode per element per cycle, and the access scheduler's
+The fast backend's vector contexts then *consume a cursor* into the
+table instead of recomputing decode per element per cycle, and its
 predict lines read plain ints instead of calling ``device.locate``.
 
 **Cycle-exactness.**  The table is a pure function of
@@ -31,19 +32,20 @@ incremental ``first_hit``/``next_hit`` walk value for value (the
 property suite in ``tests/pva/test_schedule.py`` fuzzes this over
 geometries and all paper alignments).  Nothing about *when* operations
 issue changes — only how their addresses are obtained — so the
-differential tick-vs-skip suite holds bit-identical.
+differential tick-vs-soa suite holds bit-identical.
 
 **Memoization.**  Schedules are memoized with the same content-key
 discipline as the engine's result cache: the key is the full value tuple
 above, never an object identity, and the cached value is immutable
 (tuples only), so two vectors can share a table but can never alias
-mutable state.  Each backend keeps exactly one memo: the object backend
-memoizes per-bank tables (:func:`stride_schedule`), the SoA backend whole
-broadcasts (:func:`repro.pva.soa.broadcast_schedules`, built with the
-uncached :func:`build_stride_schedule`), so no table is held twice.  Both
-are LRU-bounded to the same :data:`SCHEDULE_CACHE_SIZE` table budget
-(long-lived engine workers sweep thousands of distinct vectors) and
-hooked into :func:`repro.api.clear_caches`.
+mutable state.  The fast backend memoizes whole broadcasts
+(:func:`repro.pva.soa.broadcast_schedules`, built with the uncached
+:func:`build_stride_schedule`), LRU-bounded to the
+:data:`SCHEDULE_CACHE_SIZE` table budget (long-lived engine workers
+sweep thousands of distinct vectors) and hooked into
+:func:`repro.api.clear_caches`.  The per-bank LRU :func:`stride_schedule`
+and :func:`schedule_cache_info` remain for the benchmark harness's
+instrumentation (``perfbench/``); no simulator path fills that LRU.
 """
 
 from __future__ import annotations
@@ -77,16 +79,6 @@ class BankSchedule:
 
     Immutable by construction: every field is a tuple of ints (or bools),
     so memoized instances can be shared between requests freely.
-
-    ``run_starts``/``run_lengths`` partition the table into maximal
-    same-(internal bank, row) runs — the segments the ``next_same_row``
-    markers delimit.  Element positions ``run_starts[i] ..
-    run_starts[i] + run_lengths[i] - 1`` share the device row
-    ``rows[run_starts[i]]`` in internal bank ``ibanks[run_starts[i]]``;
-    each run costs at most one activate (plus one precharge) and then
-    streams its columns back to back.  The closed-form window backend
-    (:mod:`repro.pva.window`) charges whole runs arithmetically off
-    these segments instead of rediscovering them element by element.
     """
 
     __slots__ = (
@@ -96,9 +88,6 @@ class BankSchedule:
         "ibanks",
         "rows",
         "next_same_row",
-        "run_starts",
-        "run_lengths",
-        "mono_from",
     )
 
     def __init__(
@@ -109,30 +98,12 @@ class BankSchedule:
         rows: Tuple[int, ...],
         next_same_row: Tuple[bool, ...],
     ):
-        count = len(indices)
-        self.count = count
+        self.count = len(indices)
         self.indices = indices
         self.local_words = local_words
         self.ibanks = ibanks
         self.rows = rows
         self.next_same_row = next_same_row
-        starts = [0] if count else []
-        for j in range(count - 1):
-            if not next_same_row[j]:
-                starts.append(j + 1)
-        self.run_starts = tuple(starts)
-        self.run_lengths = tuple(
-            (starts[i + 1] if i + 1 < len(starts) else count) - starts[i]
-            for i in range(len(starts))
-        )
-        # Smallest position p with ``ibanks[p:]`` all on one internal
-        # bank: a chain starting at ``pos`` stays on a single internal
-        # bank iff ``pos >= mono_from``.  The window backend's inertness
-        # gates test this before pricing a chain.
-        p = count - 1
-        while p > 0 and ibanks[p - 1] == ibanks[p]:
-            p -= 1
-        self.mono_from = p if p > 0 else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BankSchedule(count={self.count}, indices={self.indices[:4]}...)"
@@ -226,9 +197,10 @@ def build_stride_schedule(
     return BankSchedule(indices, local_words, ibanks, rows, next_same_row)
 
 
-#: The object backend's per-bank memo over :func:`build_stride_schedule`
-#: (the SoA backend memoizes whole broadcasts instead, see
-#: :func:`repro.pva.soa.broadcast_schedules`).
+#: A per-bank memo over :func:`build_stride_schedule`, kept for the
+#: benchmark harness (``perfbench/`` patches and reads it); the fast
+#: backend memoizes whole broadcasts instead, see
+#: :func:`repro.pva.soa.broadcast_schedules`.
 stride_schedule = lru_cache(maxsize=SCHEDULE_CACHE_SIZE)(build_stride_schedule)
 
 

@@ -24,11 +24,9 @@ The scheduling heuristics implemented here are the paper's:
   consecutive vector requests.
 
 Every predict line needs the (internal bank, row) coordinates of each
-context's current address.  Contexts running on a precomputed hit
-schedule (:mod:`repro.pva.schedule`) expose them as plain ints
-(``vc.cur_ib``/``vc.cur_row``); incremental contexts fall back to
-``device.locate``.  Both paths see identical values, so every decision
-below is independent of the expansion mode.
+context's current address, decoded through ``device.locate``.  This is
+the reference model; the fast backend (:mod:`repro.pva.soa`) mirrors it
+decision for decision off broadcast-time hit schedules.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from repro.params import SystemParams
 from repro.pva.request import BCRequest
 from repro.pva.rowpolicy import make_row_policy
 from repro.pva.vector_context import VectorContext
-from repro.sim.events import HORIZON
 
 __all__ = ["IssuedColumn", "AccessScheduler"]
 
@@ -134,14 +131,8 @@ class AccessScheduler:
         for vc in self.window:
             if vc is exclude or vc.remaining == 0:
                 continue
-            ib = vc.cur_ib
-            if ib is None:
-                loc = self.device.locate(vc.local_addr)
-                ib = loc.internal_bank
-                row = loc.row
-            else:
-                row = vc.cur_row
-            if ib == internal_bank and row == open_row:
+            loc = self.device.locate(vc.local_addr)
+            if loc.internal_bank == internal_bank and loc.row == open_row:
                 return True
         return False
 
@@ -151,29 +142,16 @@ class AccessScheduler:
         """``bank_morehit_predict``: will some context access (ib, row)
         after the operation now issuing?  Considers every other context's
         current address and the issuing context's own next address."""
-        if exclude.cur_ib is not None:
-            # (internal_bank, row) is always the excluded context's own
-            # current coordinates here, so its next-address term is the
-            # precomputed row-transition marker.
-            if exclude.remaining > 1 and exclude.next_hits_same_row:
+        next_addr = exclude.next_local_addr
+        if next_addr is not None:
+            loc = self.device.locate(next_addr)
+            if loc.internal_bank == internal_bank and loc.row == row:
                 return True
-        else:
-            next_addr = exclude.next_local_addr
-            if next_addr is not None:
-                loc = self.device.locate(next_addr)
-                if loc.internal_bank == internal_bank and loc.row == row:
-                    return True
         for vc in self.window:
             if vc is exclude or vc.remaining == 0:
                 continue
-            ib = vc.cur_ib
-            if ib is None:
-                loc = self.device.locate(vc.local_addr)
-                ib = loc.internal_bank
-                vc_row = loc.row
-            else:
-                vc_row = vc.cur_row
-            if ib == internal_bank and vc_row == row:
+            loc = self.device.locate(vc.local_addr)
+            if loc.internal_bank == internal_bank and loc.row == row:
                 return True
         return False
 
@@ -183,14 +161,8 @@ class AccessScheduler:
         for vc in self.window:
             if vc.remaining == 0:
                 continue
-            ib = vc.cur_ib
-            if ib is None:
-                loc = self.device.locate(vc.local_addr)
-                ib = loc.internal_bank
-                vc_row = loc.row
-            else:
-                vc_row = vc.cur_row
-            if ib == internal_bank and vc_row != row:
+            loc = self.device.locate(vc.local_addr)
+            if loc.internal_bank == internal_bank and loc.row != row:
                 return True
         return False
 
@@ -215,96 +187,6 @@ class AccessScheduler:
             self.acted = True
         return issued
 
-    def next_event_cycle(self, cycle: int) -> int:
-        """Earliest cycle at or after ``cycle`` at which this scheduler
-        could issue an operation, assuming no external state change.
-
-        Mirrors :meth:`tick` decision by decision, but instead of asking
-        "may this operation issue *now*?" it asks each restimer/pin
-        scoreboard "when does time alone make it legal?":
-
-        * a context wanting an **activate** (its bank closed) becomes
-          issuable at the activate restimer's release;
-        * a context allowed to **precharge** (conflicting row open, and
-          either unopposed or oldest) at the precharge release;
-        * a **column** whose row is already open at the later of the
-          column restimer and the shared data pins (with turnaround when
-          the direction reverses), walked in the polarity-rule order —
-          a pending reversal in an older context fences younger ones
-          exactly as in :meth:`_try_column`;
-        * everything else (a blocked precharge, a column whose row is
-          closed) only unblocks through *another* event, so contributes
-          :data:`~repro.sim.events.HORIZON`.
-
-        The result is a conservative lower bound: the scheduler provably
-        idles on every cycle strictly before it.
-        """
-        if not self.window:
-            return HORIZON
-        device = self.device
-        bound = HORIZON
-        if device.has_rows:
-            banks = device.banks
-            for position, vc in enumerate(self.window):
-                if vc.remaining == 0:
-                    continue
-                ib = vc.cur_ib
-                if ib is None:
-                    loc = device.locate(vc.local_addr)
-                    ib = loc.internal_bank
-                    row = loc.row
-                else:
-                    row = vc.cur_row
-                open_row = banks[ib].open_row
-                if open_row == row:
-                    continue
-                if open_row is not None:
-                    if position != 0 and self._vc_hits_open_row(
-                        ib, exclude=vc
-                    ):
-                        continue
-                    ready = banks[ib].precharge_ready_at
-                else:
-                    ready = banks[ib].activate_ready_at
-                if ready < bound:
-                    bound = ready
-            last_was_write = device.last_was_write
-            position = 0
-            for vc in self.window:
-                if vc.remaining == 0:
-                    continue
-                matches = last_was_write is None or vc.is_write == last_was_write
-                if not matches and position != 0:
-                    break
-                ib = vc.cur_ib
-                if ib is None:
-                    ready = device.column_ready_at(vc.local_addr, vc.is_write)
-                else:
-                    ready = device.column_ready_at_coords(
-                        ib, vc.cur_row, vc.is_write
-                    )
-                if ready < bound:
-                    bound = ready
-                if not matches:
-                    break
-                position += 1
-        else:
-            last_was_write = device.last_was_write
-            position = 0
-            for vc in self.window:
-                if vc.remaining == 0:
-                    continue
-                matches = last_was_write is None or vc.is_write == last_was_write
-                if not matches and position != 0:
-                    break
-                ready = device.column_ready_at(vc.local_addr, vc.is_write)
-                if ready < bound:
-                    bound = ready
-                if not matches:
-                    break
-                position += 1
-        return bound if bound > cycle else cycle
-
     def _try_row_operation(self, cycle: int) -> bool:
         """Promoted activates/precharges, oldest context first."""
         device = self.device
@@ -312,13 +194,9 @@ class AccessScheduler:
         for position, vc in enumerate(self.window):
             if vc.remaining == 0:
                 continue
-            ib = vc.cur_ib
-            if ib is None:
-                loc = device.locate(vc.local_addr)
-                ib = loc.internal_bank
-                row = loc.row
-            else:
-                row = vc.cur_row
+            loc = device.locate(vc.local_addr)
+            ib = loc.internal_bank
+            row = loc.row
             bank = banks[ib]
             open_row = bank.open_row
             if open_row == row:
@@ -337,10 +215,7 @@ class AccessScheduler:
                 if bank.can_activate(cycle):
                     if not vc.issued_any:
                         self._note_first_operation(vc, ib)
-                    if vc.cur_ib is None:
-                        device.activate(vc.local_addr, cycle)
-                    else:
-                        device.activate_at(ib, row, cycle)
+                    device.activate(vc.local_addr, cycle)
                     self._last_row_seen[ib] = row
                     self._activated_since_column[ib] = True
                     self.activates += 1
@@ -360,12 +235,7 @@ class AccessScheduler:
                 # A polarity reversal is pending in an older context;
                 # younger contexts may not overtake it.
                 break
-            ib = vc.cur_ib
-            if ib is None:
-                can = device.can_column(vc.local_addr, cycle, vc.is_write)
-            else:
-                can = device.can_column_at(ib, vc.cur_row, cycle, vc.is_write)
-            if can:
+            if device.can_column(vc.local_addr, cycle, vc.is_write):
                 return self._issue_column(vc, cycle)
             if not matches:
                 # The oldest context needs a reversal but cannot issue
@@ -375,13 +245,9 @@ class AccessScheduler:
         return None
 
     def _issue_column(self, vc: VectorContext, cycle: int) -> IssuedColumn:
-        ib = vc.cur_ib
-        if ib is None:
-            loc = self.device.locate(vc.local_addr)
-            ib = loc.internal_bank
-            row = loc.row
-        else:
-            row = vc.cur_row
+        loc = self.device.locate(vc.local_addr)
+        ib = loc.internal_bank
+        row = loc.row
         if not vc.issued_any:
             self._note_first_operation(vc, ib)
         auto_precharge = (
@@ -391,10 +257,8 @@ class AccessScheduler:
         )
         is_write = vc.is_write
         value = vc.write_value() if is_write else None
-        data_cycle, read_value = self.device.column_at(
+        data_cycle, read_value = self.device.column(
             vc.local_addr,
-            ib,
-            row,
             cycle,
             is_write,
             auto_precharge=auto_precharge,
@@ -427,15 +291,8 @@ class AccessScheduler:
         continues the row last used in its internal bank."""
         if vc.issued_any:
             return
-        sched = vc.req.schedule
-        if sched is not None:
-            first_ib = sched.ibanks[0]
-            first_row = sched.rows[0]
-        else:
-            first_loc = self.device.locate(vc.req.local_first)
-            first_ib = first_loc.internal_bank
-            first_row = first_loc.row
-        row_continues = self._last_row_seen[first_ib] == first_row
+        first = self.device.locate(vc.req.local_first)
+        row_continues = self._last_row_seen[first.internal_bank] == first.row
         self.policy.note_first_operation(internal_bank, row_continues)
         vc.issued_any = True
 
@@ -448,16 +305,6 @@ class AccessScheduler:
         self.policy.observe_access(internal_bank, row_hit)
         more_hits = self._more_hits_predicted(internal_bank, row, exclude=vc)
         last_of_request = vc.remaining == 1
-        if not last_of_request and not more_hits and vc.cur_ib is None:
-            # Incremental path only: decode the issuing context's next
-            # address for the self-term.  (Schedule-cursor contexts had
-            # their precomputed row-transition marker folded in by
-            # _more_hits_predicted already.)
-            next_addr = vc.next_local_addr
-            if next_addr is not None:
-                loc = self.device.locate(next_addr)
-                if loc.internal_bank == internal_bank and loc.row == row:
-                    more_hits = True
         return self.policy.decide(
             internal_bank=internal_bank,
             last_of_request=last_of_request,

@@ -1,20 +1,21 @@
-"""The structure-of-arrays bank automaton (``sim_mode="soa"``).
+"""The structure-of-arrays bank automaton (``sim_mode="soa"``), the
+fast backend.
 
-The precompute backend (PR 5) already resolves *what* every bank does at
-broadcast time — the full per-bank hit schedule of
-:mod:`repro.pva.schedule`.  What remained per-cycle was the *object
-graph*: sixteen ``BankController``/``InternalBank``/``Restimer`` trees,
-each ticked through the kernel's component dispatch.  This module
-collapses all of them into one table-driven automaton:
+The reference backend (``sim_mode="tick"``) is an *object graph*:
+sixteen ``BankController``/``InternalBank``/``Restimer`` trees, each
+ticked every cycle through the kernel's component dispatch, expanding
+every request incrementally.  This backend resolves *what* every bank
+does at broadcast time — the full per-bank hit schedule of
+:mod:`repro.pva.schedule` — and collapses the object graph into one
+table-driven automaton:
 
 * restimer deadlines (activate/column/precharge ready-at), open rows,
   refresh deadlines, FHC occupancy and next-event cycles live in flat
   ``array('q')`` parallel arrays indexed by ``bank`` (or
   ``bank * internal_banks + ib``);
 * vector contexts are small mutable lists (schedule-cursor state only —
-  ``sim_mode="soa"`` forces ``precompute=True``, so every request
-  carries a :class:`~repro.pva.schedule.BankSchedule` and the
-  incremental ``device.locate`` fallbacks are never needed);
+  every request carries a :class:`~repro.pva.schedule.BankSchedule`, so
+  the incremental ``device.locate`` decode is never needed);
 * one kernel component (:class:`SoaBankAutomaton`) speaks for all
   sixteen ``bank-*`` attribution-ledger entries via the kernel's
   self-accounting protocol, and advances the kernel's skip bound with a
@@ -83,8 +84,8 @@ pins down):
 
 The only object-model statistic intentionally *not* reproduced is
 ``AccessScheduler.idle_cycles`` — it counts visited-but-unproductive
-ticks, is run-loop dependent even between the tick and skip modes, and
-is not part of :class:`~repro.sim.stats.RunResult`.
+ticks, depends on which cycles the run loop visits, and is not part of
+:class:`~repro.sim.stats.RunResult`.
 
 On any exit from :meth:`PVAMemorySystem.run` the automaton writes the
 array state back into the object graph (:meth:`writeback`), so device
@@ -147,9 +148,8 @@ def numpy_bound_enabled(num_banks: int) -> bool:
     Folds the bank-count threshold (:data:`_NUMPY_MIN_BANKS`), the
     ``array('q')`` width check and the feature probe (is numpy
     importable?  imported here, lazily, and kept in ``_np``) into one
-    memoized answer shared by every array-backed backend (the SoA
-    automaton and the closed-form window backend), instead of
-    re-deriving it per automaton construction.
+    memoized answer, instead of re-deriving it per automaton
+    construction.
     """
     global _np
     if num_banks < _NUMPY_MIN_BANKS or array("q").itemsize != 8:
@@ -163,10 +163,10 @@ def numpy_bound_enabled(num_banks: int) -> bool:
 
 #: Memo bound for the all-banks schedule tuples (one entry per distinct
 #: broadcast vector).  The per-bank tables underneath are built uncached
-#: (``stride_schedule`` here is the plain builder, not the object
-#: backend's LRU), so this is the SoA path's only schedule memo, and at
-#: sixteen tables per entry it holds the same table budget as the
-#: object backend's ``SCHEDULE_CACHE_SIZE``-entry LRU.
+#: (``stride_schedule`` here is the plain builder, not the LRU of
+#: :mod:`repro.pva.schedule`), so this is the only schedule memo a run
+#: fills, and at sixteen tables per entry it holds at most
+#: ``SCHEDULE_CACHE_SIZE`` tables.
 _BROADCAST_CACHE_SIZE = SCHEDULE_CACHE_SIZE // 16
 
 # Vector-context slot layout: a context is a flat mutable list, the
@@ -185,9 +185,6 @@ C_LINE = 9  # staged write line (tuple) or None
 C_ISSUED = 10  # has the first operation been issued?
 C_FIB = 11  # first element's internal bank (predictor training)
 C_FROW = 12  # first element's row (predictor training)
-C_RSTARTS = 13  # schedule run_starts tuple (same-row run segmentation)
-C_RLENS = 14  # schedule run_lengths tuple
-C_MONO = 15  # schedule mono_from (single-internal-bank suffix marker)
 
 # Request-FIFO entry layout (replaces repro.pva.request.BCRequest).
 R_READY = 0  # ready cycle (FHP/FHC pipeline + bypass timing)
@@ -237,10 +234,10 @@ def soa_fallback_reason(banks) -> Optional[str]:
     Conservative: the automaton mirrors exactly the
     :class:`~repro.sdram.device.SDRAMDevice` /
     :class:`~repro.sram.device.SRAMDevice` models (homogeneously), with
-    no command log attached, precomputed schedules available, and every
-    bank idle (a fresh system, or one whose previous run completed).
-    Anything else falls back to the object backend — same results,
-    object speed — and the reason is reported as
+    no command log attached, and every bank idle (a fresh system, or one
+    whose previous run completed).  Anything else falls back to the
+    reference backend — same results, reference speed — and the reason
+    is reported as
     :attr:`RunResult.backend <repro.sim.stats.RunResult.backend>`.
     """
     if not banks:
@@ -248,16 +245,14 @@ def soa_fallback_reason(banks) -> Optional[str]:
     device_type = type(banks[0].device)
     if device_type is not SDRAMDevice and device_type is not SRAMDevice:
         return f"unsupported device {device_type.__name__}"
-    geometry = banks[0]._geom
-    if geometry is None:
-        return "no schedule geometry"
+    geometry = banks[0].device.schedule_geometry
     for index, bank in enumerate(banks):
         device = bank.device
         if type(device) is not device_type:
             return "mixed devices"
         if device.log is not None:
             return "command log attached"
-        if bank._geom != geometry:
+        if device.schedule_geometry != geometry:
             return "mixed bank geometries"
         if bank.bank != index:
             return "banks out of order"
@@ -319,7 +314,7 @@ class SoaBankAutomaton:
         self.num_banks = params.num_banks
         self.bank_bits = params.bank_bits
         self._pla = banks[0].fhp.pla
-        self._geom = banks[0]._geom
+        self._geom = device0.schedule_geometry
 
         nu = n * self.nib
         # -- per-internal-bank state (index u = bank * nib + ib) -------
@@ -602,9 +597,6 @@ class SoaBankAutomaton:
                             False,
                             sched.ibanks[0],
                             sched.rows[0],
-                            sched.run_starts,
-                            sched.run_lengths,
-                            sched.mono_from,
                         ]
                     )
                     progressed = True
@@ -851,7 +843,7 @@ class SoaBankAutomaton:
                             position += 1
                         if issue_vc is not None:
                             # -- single column (AccessScheduler
-                            #    ._issue_column + device.column_at +
+                            #    ._issue_column + device.column +
                             #    transaction staging, fused) ----------
                             vcx = issue_vc
                             posx = vcx[5]
@@ -1247,7 +1239,6 @@ class SoaBankAutomaton:
             scheduler.activates = self.sched_act[b]
             scheduler.precharges = self.sched_pre[b]
             scheduler.columns = self.sched_col[b]
-            bank._skip_until = 0
             if self.has_rows:
                 device.refreshes = self.refreshes[b]
                 if device._next_refresh is not None:

@@ -9,8 +9,7 @@ controller releases the line when it has collected (reads) or committed
 (writes) every element it is responsible for.
 
 These per-bank units are the reference object backend's model.  The
-array backends (:mod:`repro.pva.soa`, :mod:`repro.pva.window`) never
-open a slot here: they stage per transaction, in the front end's
+fast backend (:mod:`repro.pva.soa`) never opens a slot here: they stage per transaction, in the front end's
 transaction record, with the same element counts and data cycles.
 """
 

@@ -38,9 +38,8 @@ from repro.params import SystemParams
 from repro.bus.vector_bus import VectorBus
 from repro.pva.bank_controller import BankController
 from repro.pva.soa import SoaBankAutomaton, soa_fallback_reason
-from repro.pva.window import WindowBankAutomaton
 from repro.sdram.device import DeviceStats, SDRAMDevice
-from repro.sim.events import HORIZON, time_skip_enabled
+from repro.sim.events import HORIZON
 from repro.sim.kernel import PassiveComponent, SimKernel
 from repro.sim.runner import Watchdog
 from repro.sim.stats import FALLBACK_PREFIX, BusStats, RunResult
@@ -69,7 +68,7 @@ __all__ = ["PVAMemorySystem"]
 class _Transaction:
     """Front-end bookkeeping for one outstanding bus transaction.
 
-    The array backends stage at transaction level: their FIFO entries
+    The fast backend stages at transaction level: its FIFO entries
     and vector contexts hold this object, every column issue updates
     ``done``/``last_data_cycle`` here, and read data lands in
     ``received`` (the object backend keeps the section 5.2.2 per-bank
@@ -219,8 +218,8 @@ class _FrontEnd:
                     else 1
                 )
                 is_write = command.access is AccessType.WRITE
-                # Registered before the broadcast: the array backends
-                # queue a reference to the transaction itself.
+                # Registered before the broadcast: the fast backend
+                # queues a reference to the transaction itself.
                 self._register(
                     _Transaction(
                         txn_id=txn_id,
@@ -338,37 +337,19 @@ class _BusComponent(PassiveComponent):
 
 
 class _BankComponent:
-    """One bank controller under the kernel.  Acting means observable
-    progress: a column issue, a request injected into a vector context,
-    a row activate/precharge, or an auto-refresh."""
+    """One bank controller under the kernel (the reference backend).
+    Acting means observable progress: a column issue, a request injected
+    into a vector context, a row activate/precharge, or an auto-refresh.
+    The reference ticks every bank on every cycle, so it offers the
+    kernel no next-event bound."""
 
-    def __init__(self, bank: BankController, front: _FrontEnd, time_skip: bool):
+    def __init__(self, bank: BankController, front: _FrontEnd):
         self.bank = bank
         self.front = front
-        self.time_skip = time_skip
         self.name = f"bank-{bank.bank}"
-        #: Both gate inputs are constant for the run; fold them once.
-        self._gated = time_skip or bank.fast_gating
-        #: Whether idle_at's refresh probe can ever fire (the None-ness
-        #: of next_refresh_cycle never changes mid-run).
-        self._no_refresh = (
-            not bank.device.has_rows
-            or bank.device.next_refresh_cycle is None
-        )
 
     def tick(self, cycle: int) -> bool:
         bank = self.bank
-        if self._gated:
-            # Inlined bank.quiet_at(cycle) — this is the hottest probe
-            # in the simulator.
-            if cycle < bank._skip_until:
-                return False
-            if not bank.rqf and not bank.scheduler.window:
-                if self._no_refresh:
-                    return False
-                refresh = bank.device.next_refresh_cycle
-                if refresh is None or refresh > cycle:
-                    return False
         issued = bank.tick(cycle)
         if issued is not None:
             self.front.note_issue(bank.bank, issued)
@@ -378,7 +359,7 @@ class _BankComponent:
         return bank.acted
 
     def next_event_cycle(self, cycle: int) -> int:
-        return self.bank.next_event_cycle(cycle)
+        return cycle
 
     def account(self, start: int, end: int) -> Tuple[int, int, int]:
         span = end - start
@@ -611,44 +592,28 @@ class PVAMemorySystem:
                 )
         bus = VectorBus(self.params)
         watchdog = Watchdog(len(commands), system=self.name)
-        #: Fast path: jump idle gaps via next-event lower bounds instead
-        #: of ticking through them.  Cycle-exact with the reference loop
-        #: — skipped cycles are exactly the iterations that change no
-        #: state (see repro.sim.events).
-        time_skip = time_skip_enabled(self.params)
-        for bank in self.banks:
-            bank.time_skip = time_skip
+        #: The fast backend steps all bank controllers as one flat
+        #: automaton (repro.pva.soa) on the next-event skip loop.  A run
+        #: it cannot take (attached command logs, exotic devices, dirty
+        #: bank state) falls back to the reference itself — the object
+        #: components on the tick loop, same results — with the reason
+        #: recorded in RunResult.backend.
+        if self.params.sim_mode == "soa":
+            reason = soa_fallback_reason(self.banks)
+            backend = "soa" if reason is None else FALLBACK_PREFIX + reason
+        else:
+            backend = "object"
 
         front = _FrontEnd(self, commands, bus, capture_data)
-        kernel = SimKernel(watchdog=watchdog, time_skip=time_skip)
+        kernel = SimKernel(watchdog=watchdog, time_skip=backend == "soa")
         kernel.register(front)
         kernel.register(_BusComponent(bus))
-        #: Array backends: all sixteen bank controllers stepped as one
-        #: flat automaton (repro.pva.soa), with sim_mode="window" adding
-        #: the closed-form chain resolution on top (repro.pva.window).
-        #: capture_data runs take the SoA automaton even under "window"
-        #: (bit-exact either way), and any ineligible run (attached
-        #: command logs, exotic devices, dirty bank state) falls back to
-        #: the object components — same results, object speed — with the
-        #: reason recorded in RunResult.backend.
-        mode = self.params.sim_mode
-        reason = None
-        if mode in ("soa", "window"):
-            reason = soa_fallback_reason(self.banks)
-        if reason is None and mode == "window" and not capture_data:
-            backend = "window"
-            self._soa = WindowBankAutomaton(
-                self.banks, front, bus, self.params, kernel
-            )
-            kernel.register(self._soa)
-        elif reason is None and mode in ("soa", "window"):
-            backend = "soa"
+        if backend == "soa":
             self._soa = SoaBankAutomaton(self.banks, front, bus, self.params)
             kernel.register(self._soa)
         else:
-            backend = "object" if reason is None else FALLBACK_PREFIX + reason
             for bank in self.banks:
-                kernel.register(_BankComponent(bank, front, time_skip))
+                kernel.register(_BankComponent(bank, front))
         kernel.register(_CompletionUnit(front))
         try:
             exit_cycle = kernel.run(front.done)
@@ -834,7 +799,7 @@ class PVAMemorySystem:
     ) -> Tuple[int, ...]:
         """STAGE_READ: merge the staged subvectors into the dense line
         returned to the processor (gathered in index order) — from the
-        transaction's own buffer under the array backends, from every
+        transaction's own buffer under the fast backend, from every
         bank's read staging unit under the object backend."""
         line: List[int] = [0] * _command_length(command)
         if self._soa is not None:

@@ -72,21 +72,6 @@ class InternalBank:
     # Time-skip lower bounds
     # ----------------------------------------------------------------- #
 
-    @property
-    def activate_ready_at(self) -> int:
-        """Cycle the activate restimer releases (meaningful when closed)."""
-        return self._activate_timer.ready_at
-
-    @property
-    def column_ready_at(self) -> int:
-        """Cycle the column restimer releases (meaningful when open)."""
-        return self._column_timer.ready_at
-
-    @property
-    def precharge_ready_at(self) -> int:
-        """Cycle the precharge restimer releases (meaningful when open)."""
-        return self._precharge_timer.ready_at
-
     def next_event_cycle(self, cycle: int) -> int:
         """Earliest cycle at or after ``cycle`` at which *some* command
         to this internal bank could become legal: the activate release

@@ -158,15 +158,6 @@ class SDRAMDevice:
             cycle, loc.row
         ) and self.data_pins_ready(cycle, is_write)
 
-    def can_column_at(
-        self, internal_bank: int, row: int, cycle: int, is_write: bool
-    ) -> bool:
-        """:meth:`can_column` with the coordinates already decoded (the
-        precomputed-schedule fast path)."""
-        return self.banks[internal_bank].can_column(
-            cycle, row
-        ) and self.data_pins_ready(cycle, is_write)
-
     def can_activate(self, local_word: int, cycle: int) -> bool:
         loc = self.locate(local_word)
         return self.banks[loc.internal_bank].can_activate(cycle)
@@ -193,33 +184,6 @@ class SDRAMDevice:
     def next_refresh_cycle(self) -> Optional[int]:
         """Cycle the next auto-refresh fires, or None when disabled."""
         return self._next_refresh
-
-    def pins_ready_at(self, is_write: bool) -> int:
-        """First cycle the shared data pins accept a transfer in the
-        given direction (one CAS per cycle + turnaround on reversal)."""
-        if self._last_was_write is not None and self._last_was_write != is_write:
-            return self._last_column_cycle + 1 + self.bus_turnaround
-        return self._last_column_cycle + 1
-
-    def column_ready_at(self, local_word: int, is_write: bool) -> int:
-        """Earliest cycle a CAS to ``local_word`` could become legal by
-        the passage of time alone.  :data:`~repro.sim.events.HORIZON`
-        when the word's row is not open — opening it takes an activate,
-        which is itself an observable event."""
-        loc = self.locate(local_word)
-        return self.column_ready_at_coords(loc.internal_bank, loc.row, is_write)
-
-    def column_ready_at_coords(
-        self, internal_bank: int, row: int, is_write: bool
-    ) -> int:
-        """:meth:`column_ready_at` with the coordinates already decoded
-        (the precomputed-schedule fast path)."""
-        bank = self.banks[internal_bank]
-        if bank.open_row != row:
-            return HORIZON
-        ready = bank.column_ready_at
-        pins = self.pins_ready_at(is_write)
-        return ready if ready > pins else pins
 
     def next_event_cycle(self, cycle: int) -> int:
         """Earliest cycle at or after ``cycle`` at which any device
@@ -256,19 +220,14 @@ class SDRAMDevice:
 
     def activate(self, local_word: int, cycle: int) -> None:
         loc = self.locate(local_word)
-        self.activate_at(loc.internal_bank, loc.row, cycle)
-
-    def activate_at(self, internal_bank: int, row: int, cycle: int) -> None:
-        """:meth:`activate` with the coordinates already decoded (the
-        precomputed-schedule fast path)."""
-        self.banks[internal_bank].activate(row, cycle)
+        self.banks[loc.internal_bank].activate(loc.row, cycle)
         if self.log is not None:
             self.log.record(
                 CommandEvent(
                     cycle=cycle,
                     command=SDRAMCommand.ACTIVATE,
-                    internal_bank=internal_bank,
-                    row=row,
+                    internal_bank=loc.internal_bank,
+                    row=loc.row,
                 )
             )
 
@@ -297,36 +256,13 @@ class SDRAMDevice:
         datum appears on the pins (``cycle + cas_latency``) and the stored
         value; for writes, the cycle the datum is consumed and ``None``.
         """
-        loc = self.locate(local_word)
-        return self.column_at(
-            local_word,
-            loc.internal_bank,
-            loc.row,
-            cycle,
-            is_write,
-            auto_precharge=auto_precharge,
-            value=value,
-        )
-
-    def column_at(
-        self,
-        local_word: int,
-        internal_bank: int,
-        row: int,
-        cycle: int,
-        is_write: bool,
-        auto_precharge: bool = False,
-        value: Optional[int] = None,
-    ) -> Tuple[int, Optional[int]]:
-        """:meth:`column` with the coordinates already decoded (the
-        precomputed-schedule fast path); ``local_word`` still keys the
-        functional storage array."""
         if not self.data_pins_ready(cycle, is_write):
             raise SchedulingError(
                 f"data pins busy at cycle {cycle} "
                 f"(last column at {self._last_column_cycle})"
             )
-        self.banks[internal_bank].column(cycle, is_write, auto_precharge)
+        loc = self.locate(local_word)
+        self.banks[loc.internal_bank].column(cycle, is_write, auto_precharge)
         if (
             self._last_was_write is not None
             and self._last_was_write != is_write
@@ -351,9 +287,9 @@ class SDRAMDevice:
                 CommandEvent(
                     cycle=cycle,
                     command=command,
-                    internal_bank=internal_bank,
-                    row=row,
-                    column=local_word & self._row_mask,
+                    internal_bank=loc.internal_bank,
+                    row=loc.row,
+                    column=loc.column,
                 )
             )
         if is_write:

@@ -187,42 +187,6 @@ class SimKernel:
         return tuple(self._components)
 
     # ------------------------------------------------------------- #
-    # Bulk accounting
-    # ------------------------------------------------------------- #
-
-    def bulk_account(
-        self, name: str, busy: int = 0, stalled: int = 0, idle: int = 0
-    ) -> None:
-        """Deposit a span's worth of cycles into ledger entry ``name``
-        in one call.
-
-        This is the closed-form backends' commit path: a component that
-        resolves a whole service chain arithmetically attributes the
-        chain's cycles here as bulk deltas instead of cycle-by-cycle
-        ``account`` splits.  Deposits land in the live entry and are
-        *added to* (not replaced by) whatever the component's
-        ``finalize_ledger`` later contributes, so a backend may mix
-        closed-form spans with event-stepped fallback spans freely.
-        """
-        if self._finalized_to is not None:
-            raise ConfigurationError(
-                f"bulk_account({name!r}) after the ledger was finalized"
-            )
-        entry = self._ledger.get(name)
-        if entry is None:
-            raise ConfigurationError(
-                f"bulk_account: unknown ledger entry {name!r}"
-            )
-        if busy < 0 or stalled < 0 or idle < 0:
-            raise ConfigurationError(
-                f"bulk_account({name!r}): negative delta "
-                f"(busy={busy}, stalled={stalled}, idle={idle})"
-            )
-        entry.busy += busy
-        entry.stalled += stalled
-        entry.idle += idle
-
-    # ------------------------------------------------------------- #
     # The loop
     # ------------------------------------------------------------- #
 
@@ -362,16 +326,7 @@ class SimKernel:
                             f"{component.name}: finalize_ledger returned "
                             f"no entry for {entry_name!r}"
                         )
-                    # Merge by addition: :meth:`bulk_account` deposits
-                    # already live in the reserved entry (zero for
-                    # backends that never bulk-deposit), and
-                    # finalize_ledger returns only the component's own
-                    # event-stepped buckets.
-                    entry = self._ledger[entry_name]
-                    contribution = merged[entry_name]
-                    entry.busy += contribution.busy
-                    entry.stalled += contribution.stalled
-                    entry.idle += contribution.idle
+                    self._ledger[entry_name] = merged[entry_name]
             self._finalized_to = total_cycles
         elif total_cycles != self._finalized_to:
             raise ConfigurationError(

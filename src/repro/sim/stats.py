@@ -17,8 +17,9 @@ from repro.sdram.devstats import DeviceStats
 
 __all__ = ["FALLBACK_PREFIX", "BusStats", "ComponentCycles", "RunResult"]
 
-#: :attr:`RunResult.backend` prefix of a run that requested an array
-#: backend but fell back to the object backend; the reason follows it.
+#: :attr:`RunResult.backend` prefix of a run that requested the fast
+#: backend but fell back to the reference object backend (on the tick
+#: loop); the reason follows it.
 FALLBACK_PREFIX = "object: "
 
 
@@ -104,9 +105,9 @@ class RunResult:
     #: Identical between the tick and time-skip run loops, and every
     #: component's buckets sum to :attr:`cycles`.
     attribution: Optional[Dict[str, ComponentCycles]] = None
-    #: Which bank backend stepped the run: ``"soa"``, ``"window"``,
-    #: ``"object"`` (requested via ``sim_mode``), or
-    #: :data:`FALLBACK_PREFIX` + reason when an array backend was
+    #: Which bank backend stepped the run: ``"soa"``, ``"object"``
+    #: (the reference, requested via ``sim_mode="tick"``), or
+    #: :data:`FALLBACK_PREFIX` + reason when the fast backend was
     #: requested but the run fell back (see
     #: :func:`repro.pva.soa.soa_fallback_reason`).
     #: None for the analytic baselines.  Excluded from equality: the

@@ -88,12 +88,6 @@ class SRAMDevice:
     def can_column(self, local_word: int, cycle: int, is_write: bool) -> bool:
         return self.data_pins_ready(cycle, is_write)
 
-    def can_column_at(
-        self, internal_bank: int, row: int, cycle: int, is_write: bool
-    ) -> bool:
-        """Coordinate fast path — the pins are the only constraint."""
-        return self.data_pins_ready(cycle, is_write)
-
     def can_activate(self, local_word: int, cycle: int) -> bool:
         return False  # nothing to activate
 
@@ -107,24 +101,6 @@ class SRAMDevice:
         return False
 
     # --- time-skip lower bounds ---------------------------------------- #
-
-    def pins_ready_at(self, is_write: bool) -> int:
-        """First cycle the shared data pins accept a transfer in the
-        given direction — the SRAM's only structural constraint."""
-        if self._last_was_write is not None and self._last_was_write != is_write:
-            return self._last_column_cycle + 1 + self.bus_turnaround
-        return self._last_column_cycle + 1
-
-    def column_ready_at(self, local_word: int, is_write: bool) -> int:
-        """Earliest cycle an access to ``local_word`` could become legal
-        by time alone (no rows: the pins are the only restriction)."""
-        return self.pins_ready_at(is_write)
-
-    def column_ready_at_coords(
-        self, internal_bank: int, row: int, is_write: bool
-    ) -> int:
-        """Coordinate fast path — identical to :meth:`column_ready_at`."""
-        return self.pins_ready_at(is_write)
 
     def next_event_cycle(self, cycle: int) -> int:
         """Generic time-skip bound: the pin release in either direction."""
@@ -177,21 +153,6 @@ class SRAMDevice:
         self.reads += 1
         return cycle + self.timing.access_cycles, self._storage.get(
             local_word, 0
-        )
-
-    def column_at(
-        self,
-        local_word: int,
-        internal_bank: int,
-        row: int,
-        cycle: int,
-        is_write: bool,
-        auto_precharge: bool = False,
-        value: Optional[int] = None,
-    ) -> Tuple[int, Optional[int]]:
-        """Coordinate fast path — the SRAM ignores the coordinates."""
-        return self.column(
-            local_word, cycle, is_write, auto_precharge=auto_precharge, value=value
         )
 
     # --- functional access & statistics -------------------------------- #

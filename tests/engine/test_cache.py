@@ -17,7 +17,7 @@ from repro.engine import (
     default_salt,
     point_key,
 )
-from repro.params import SDRAMTiming, SystemParams
+from repro.params import SIM_MODES, SDRAMTiming, SystemParams
 from repro.types import AccessType, Vector, VectorCommand
 
 
@@ -110,9 +110,9 @@ def test_key_changes_with_sim_mode():
             ),
             "s",
         )
-        for mode in ("tick", "skip", "precompute", "soa", "window")
+        for mode in SIM_MODES
     }
-    assert len(keys) == 5
+    assert len(keys) == len(SIM_MODES)
 
 
 def test_default_salt_carries_version_and_schema():

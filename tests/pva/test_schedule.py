@@ -231,36 +231,3 @@ def test_degenerate_stride_hits_base_bank_only():
         ]
         assert hits[5].count == 7
         assert hits[5].indices == tuple(range(7))
-
-
-def test_precompute_toggle_is_cycle_exact(monkeypatch):
-    """sim_mode="precompute" and sim_mode="skip" must produce
-    bit-identical RunResults (cycles, latencies, device stats and
-    attribution) — the schedule is a representation change, not a timing
-    change.  The ``REPRO_TIME_SKIP`` toggle forces each pairing onto
-    both run loops (the schedules are loop-agnostic)."""
-    from repro.kernels import alignment_by_name, build_trace, kernel_by_name
-    from repro.pva.system import PVAMemorySystem
-    from repro.sim.events import ENV_TOGGLE
-
-    for loop_env in ("0", "1"):
-        monkeypatch.setenv(ENV_TOGGLE, loop_env)
-        for kernel, alignment in (("copy", "aligned"),
-                                  ("saxpy", "row-conflict")):
-            for stride in (1, 8, 19):
-                results = []
-                for sim_mode in ("precompute", "skip"):
-                    params = SystemParams(sim_mode=sim_mode)
-                    trace = build_trace(
-                        kernel_by_name(kernel),
-                        stride=stride,
-                        params=params,
-                        elements=128,
-                        alignment=alignment_by_name(alignment),
-                    )
-                    results.append(PVAMemorySystem(params).run(trace))
-                fast, reference = results
-                assert fast.cycles == reference.cycles
-                assert fast.command_latencies == reference.command_latencies
-                assert fast.device == reference.device
-                assert fast.attribution == reference.attribution

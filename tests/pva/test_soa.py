@@ -1,9 +1,11 @@
 """Unit tests for the structure-of-arrays bank automaton internals.
 
-The differential suite (tests/sim/test_soa_equivalence.py) proves the
-backend end-to-end; these tests pin the pieces in isolation — the
-min-reduction next-event bound, the broadcast memo's lifecycle and
-immutability, eligibility gating, and the queueing math on degenerate
+The differential suite (tests/sim/test_time_skip_equivalence.py) proves
+the backend end-to-end against the tick reference; these tests pin the
+pieces in isolation — the min-reduction next-event bound and its numpy
+decision cache, the broadcast memo's lifecycle and immutability,
+eligibility gating, the fallback to the reference, and the queueing
+math on degenerate
 element patterns (stride-0/1 equivalents, single bank, non-power-of-two
 bank subsets the automaton itself never rejects).
 """
@@ -17,9 +19,11 @@ from repro.errors import CapacityError, ProtocolError
 from repro.params import SystemParams
 from repro.pva.schedule import pairs_schedule
 from repro.pva.soa import (
+    _NUMPY_MIN_BANKS,
     SoaBankAutomaton,
     broadcast_schedules,
     clear_soa_cache,
+    numpy_bound_enabled,
     soa_cache_info,
     soa_eligible,
     soa_fallback_reason,
@@ -140,12 +144,31 @@ class TestQueueMath:
         assert soa.acct[0] == 9
 
 
+class TestNumpyBoundDecision:
+    def test_small_bank_counts_stay_scalar(self):
+        assert numpy_bound_enabled(1) is False
+        assert numpy_bound_enabled(_NUMPY_MIN_BANKS - 1) is False
+
+    def test_memoized(self):
+        numpy_bound_enabled.cache_clear()
+        numpy_bound_enabled(_NUMPY_MIN_BANKS)
+        before = numpy_bound_enabled.cache_info().hits
+        numpy_bound_enabled(_NUMPY_MIN_BANKS)
+        assert numpy_bound_enabled.cache_info().hits == before + 1
+
+    def test_threshold_respects_feature_probe(self):
+        from repro.pva import soa
+
+        enabled = numpy_bound_enabled(_NUMPY_MIN_BANKS)
+        assert enabled == (soa._np is not None)
+
+
 class TestBroadcastMemo:
     def test_memo_returns_shared_tuple(self):
         clear_soa_cache()
         params = SystemParams()
         system = build_system("pva-sdram", params)
-        geometry = system.banks[0]._geom
+        geometry = system.banks[0].device.schedule_geometry
         first = broadcast_schedules(0, 19, 64, params.num_banks, geometry)
         again = broadcast_schedules(0, 19, 64, params.num_banks, geometry)
         assert first is again
@@ -166,7 +189,7 @@ class TestBroadcastMemo:
         # Snapshot every cached schedule's contents, run again, compare:
         # the automaton must treat the shared tables as read-only.
         system = build_system("pva-sdram", params)
-        geometry = system.banks[0]._geom
+        geometry = system.banks[0].device.schedule_geometry
         vector = trace[0].vector
         schedules = broadcast_schedules(
             vector.base,
@@ -198,7 +221,7 @@ class TestBroadcastMemo:
     def test_clear_caches_drops_soa_memo(self):
         params = SystemParams()
         system = build_system("pva-sdram", params)
-        broadcast_schedules(0, 5, 16, params.num_banks, system.banks[0]._geom)
+        broadcast_schedules(0, 5, 16, params.num_banks, system.banks[0].device.schedule_geometry)
         assert soa_cache_info().currsize >= 1
         clear_caches()
         assert soa_cache_info().currsize == 0
@@ -271,8 +294,32 @@ class TestBackendReporting:
         assert result.backend == "object: command log attached"
 
     def test_requested_object_backend_has_no_reason(self):
-        result = self._run(SystemParams(sim_mode="precompute"))
+        result = self._run(SystemParams(sim_mode="tick"))
         assert result.backend == "object"
+
+    def test_fallback_is_the_tick_reference(self, monkeypatch):
+        """An ineligible default run falls back to the reference itself:
+        the object components on a kernel that ticks every cycle, with
+        a result equal to the requested ``sim_mode="tick"`` run."""
+        from repro.params import ENV_SIM_MODE
+        from repro.sim.kernel import SimKernel
+
+        monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+        loops = []
+        original = SimKernel.run
+
+        def run(kernel, done):
+            loops.append(kernel.time_skip)
+            return original(kernel, done)
+
+        monkeypatch.setattr(SimKernel, "run", run)
+        fallback = self._run(SystemParams(), attach_logs=True)
+        assert fallback.backend == "object: command log attached"
+        assert loops == [False]
+        reference = self._run(SystemParams(sim_mode="tick"))
+        assert loops == [False, False]
+        assert fallback == reference
+        assert fallback.attribution == reference.attribution
 
     def test_backend_is_not_part_of_result_equality(self):
         fast = self._run(SystemParams(sim_mode="soa"))
@@ -346,7 +393,7 @@ class TestEngineBackendTally:
 
 
 class TestTransactionStaging:
-    """The array backends stage per transaction: no per-bank staging
+    """The fast backend stages per transaction: no per-bank staging
     slot is opened, and the per-bank drain/commit checks survive as
     transaction-level checks (real exceptions, so they hold under -O)."""
 
@@ -358,13 +405,13 @@ class TestTransactionStaging:
             kernel_by_name("copy"), stride=19, elements=128, params=params
         )
 
-    @pytest.mark.parametrize("sim_mode", [None, "window"])
+    @pytest.mark.parametrize("sim_mode", [None, "soa"])
     def test_run_opens_no_per_bank_staging_slot(self, monkeypatch, sim_mode):
         from repro.params import ENV_SIM_MODE
         from repro.pva.staging import ReadStagingUnit, WriteStagingUnit
 
         def refuse(unit, txn_id, expected):
-            raise AssertionError("array backend opened a per-bank slot")
+            raise AssertionError("fast backend opened a per-bank slot")
 
         monkeypatch.delenv(ENV_SIM_MODE, raising=False)
         monkeypatch.setattr(ReadStagingUnit, "open", refuse)
@@ -372,7 +419,7 @@ class TestTransactionStaging:
         params = SystemParams(sim_mode=sim_mode)
         system = build_system("pva-sdram", params)
         result = system.run(self._trace(params))
-        assert result.backend == (sim_mode or "soa")
+        assert result.backend == "soa"
         for bank in system.banks:
             assert len(bank.read_staging) == 0
             assert len(bank.write_staging) == 0

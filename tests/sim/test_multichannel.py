@@ -1,8 +1,8 @@
 """Multi-channel topologies across every backend and baseline.
 
 The topology generalization (channel-interleaved word addressing, line
-transfers split evenly across channels) must behave identically in all
-four ``sim_mode`` backends — they share one bus-occupancy model — and
+transfers split evenly across channels) must behave identically in both
+``sim_mode`` backends — they share one bus-occupancy model — and
 the analytic formulas must keep predicting the serial baselines
 exactly.
 """
@@ -40,7 +40,7 @@ def _trace(params, kernel="saxpy", stride=19, elements=128):
 class TestBackendAgreement:
     @pytest.mark.parametrize("base", MULTI_CHANNEL_PARAMS)
     @pytest.mark.parametrize("system", ("pva-sdram", "pva-sram"))
-    def test_all_four_modes_bit_identical(self, base, system):
+    def test_both_modes_bit_identical(self, base, system):
         trace = _trace(base)
         results = {
             mode: simulate(
@@ -50,8 +50,10 @@ class TestBackendAgreement:
         }
         reference = results["tick"]
         assert reference.cycles > 0
+        assert results["soa"].backend == "soa"
         for mode, result in results.items():
             assert result == reference, mode
+            assert result.attribution == reference.attribution, mode
 
     @pytest.mark.parametrize("stride", (1, 4, 19))
     @pytest.mark.parametrize("alignment", ALIGNMENTS)

@@ -193,3 +193,29 @@ class TestExploreCLI:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text('{"axes": {"warp_factor": [9]}}')
         assert main(["explore", "--spec", str(spec_path)]) == 2
+
+
+class _RecordingEngine:
+    """Engine stub: records every submitted point and answers with a
+    cycle count far above any analytic bound."""
+
+    def __init__(self):
+        self.points = []
+
+    def run(self, points):
+        self.points.extend(points)
+        return [10**9] * len(points)
+
+
+class TestSubmittedPoints:
+    def test_each_point_runs_the_config_its_record_names(self):
+        engine = _RecordingEngine()
+        report = run_explore(QUICK_SPEC, engine=engine)
+        simulated = [
+            record["config_key"]
+            for record in report["points"]
+            if record["status"] == "simulated"
+        ]
+        submitted = [point.params.config_key() for point in engine.points]
+        assert submitted
+        assert sorted(submitted) == sorted(simulated)

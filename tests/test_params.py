@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.params import (
+    SIM_MODES,
     SDRAMTiming,
     SRAMTiming,
     SystemParams,
@@ -167,74 +168,49 @@ class TestSystemParams:
 
 
 class TestSimMode:
-    """The validated sim_mode ladder and its deprecated boolean aliases."""
+    """The validated two-backend sim_mode selector."""
 
     def test_default_resolves_to_soa(self):
         params = SystemParams()
         assert params.sim_mode == "soa"
-        # The deprecated alias fields are always folded away.
-        assert params.time_skip is None
-        assert params.precompute is None
 
     def test_mode_ladder_implies_aspects(self):
-        assert SystemParams(sim_mode="tick").uses_time_skip is False
-        assert SystemParams(sim_mode="tick").uses_precompute is False
-        assert SystemParams(sim_mode="skip").uses_time_skip is True
-        assert SystemParams(sim_mode="skip").uses_precompute is False
-        pre = SystemParams(sim_mode="precompute")
-        assert pre.uses_time_skip is True
-        assert pre.uses_precompute is True
-        soa = SystemParams(sim_mode="soa")
-        assert soa.uses_time_skip is True
-        assert soa.uses_precompute is True
-        assert soa.sim_mode == "soa"
+        from repro.sim.events import time_skip_enabled
+
+        assert SIM_MODES == ("tick", "soa")
+        assert not time_skip_enabled(SystemParams(sim_mode="tick"))
+        assert time_skip_enabled(SystemParams(sim_mode="soa"))
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             SystemParams(sim_mode="warp")
 
-    def test_legacy_booleans_warn_and_map_onto_the_ladder(self):
-        cases = {
-            (False, False): "tick",
-            (False, True): "tick",
-            (True, False): "skip",
-            (True, True): "precompute",
-            (False, None): "tick",
-            (True, None): "precompute",
-            (None, False): "skip",
-            (None, True): "precompute",
-        }
-        for (time_skip, precompute), expected in cases.items():
-            with pytest.deprecated_call():
-                params = SystemParams(
-                    time_skip=time_skip, precompute=precompute
-                )
-            assert params.sim_mode == expected, (time_skip, precompute)
-            assert params.time_skip is None
-            assert params.precompute is None
+    @pytest.mark.parametrize("mode", ["skip", "precompute", "window"])
+    def test_deleted_modes_rejected(self, mode, monkeypatch):
+        from repro.config import GenParams
+        from repro.params import ENV_SIM_MODE
 
-    def test_boolean_alias_plus_sim_mode_is_a_contradiction(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                SystemParams(sim_mode="precompute", time_skip=False)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError):
-                SystemParams(sim_mode="soa", precompute=False)
+        monkeypatch.delenv(ENV_SIM_MODE, raising=False)
+        with pytest.raises(ConfigurationError):
+            SystemParams(sim_mode=mode)
+        with pytest.raises(ConfigurationError):
+            GenParams(sim_mode=mode)
+        monkeypatch.setenv(ENV_SIM_MODE, mode)
+        with pytest.raises(ConfigurationError):
+            SystemParams()
 
-    def test_legacy_equals_modern_construction(self):
-        with pytest.deprecated_call():
-            legacy = SystemParams(time_skip=True, precompute=False)
-        assert legacy == SystemParams(sim_mode="skip")
-        assert hash(legacy) == hash(SystemParams(sim_mode="skip"))
+    @pytest.mark.parametrize("alias", ["time_skip", "precompute"])
+    def test_legacy_keywords_are_gone(self, alias):
+        with pytest.raises(TypeError):
+            SystemParams(**{alias: True})
 
     def test_replace_round_trip_is_stable(self):
         from dataclasses import replace
 
-        for mode in ("tick", "skip", "precompute", "soa", "window"):
+        for mode in SIM_MODES:
             params = SystemParams(sim_mode=mode)
             again = replace(params, num_banks=8)
             assert again.sim_mode == mode
-            # ... and switching modes via replace() needs no aliases.
             assert replace(params, sim_mode="tick").sim_mode == "tick"
 
     def test_hashable_and_equal(self):
@@ -242,16 +218,16 @@ class TestSimMode:
         b = SystemParams(sim_mode="soa")
         assert a == b
         assert hash(a) == hash(b)
-        assert a != SystemParams(sim_mode="precompute")
+        assert a != SystemParams(sim_mode="tick")
 
     def test_env_override_forces_mode(self, monkeypatch):
         from repro.params import ENV_SIM_MODE
+        from repro.sim.events import time_skip_enabled
 
         monkeypatch.setenv(ENV_SIM_MODE, "soa")
         params = SystemParams(sim_mode="tick")
         assert params.sim_mode == "soa"
-        assert params.uses_time_skip is True
-        assert params.uses_precompute is True
+        assert time_skip_enabled(params)
         monkeypatch.setenv(ENV_SIM_MODE, "auto")
         assert SystemParams(sim_mode="tick").sim_mode == "tick"
         monkeypatch.setenv(ENV_SIM_MODE, "hyperdrive")
