@@ -156,6 +156,7 @@ class CacheLineSerialSDRAM:
             device=device,
             bus=self._bus,
             attribution=kernel.finalize(cycles),
+            work=kernel.work(),
         )
         result.read_lines = self._read_lines
         return result

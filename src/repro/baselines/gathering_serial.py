@@ -139,6 +139,7 @@ class GatheringSerialSDRAM:
             device=device,
             bus=self._bus,
             attribution=kernel.finalize(cycles),
+            work=kernel.work(),
         )
         result.read_lines = self._read_lines
         return result

@@ -9,7 +9,7 @@ kept for metric continuity) — and reports simulated-cycles-per-second
 for each plus the fast-vs-reference wall-clock speedup.  The workload
 is the stride-19 slice of the section-6.2 evaluation grid (every kernel
 x every alignment), the densest bank-conflict case in the paper and the
-headline configuration tracked in ``BENCH_sim.json``.  A throttled
+headline configuration recorded in ``BENCH_sim.json``.  A throttled
 scenario (``issue_interval=256``) times the same pair on the two PVA
 systems.
 

@@ -46,12 +46,6 @@ class VectorBus:
         """Can a new bus action start this cycle?"""
         return cycle >= self.busy_until
 
-    def next_event_cycle(self, cycle: int) -> int:
-        """First cycle at or after ``cycle`` at which the bus is free —
-        the bus's time-skip lower bound (meaningful only while the front
-        end has an action waiting for it)."""
-        return self.busy_until if self.busy_until > cycle else cycle
-
     def _claim(self, cycle: int) -> None:
         if not self.is_free(cycle):
             raise ProtocolError(

@@ -34,30 +34,39 @@ geometries and all paper alignments).  Nothing about *when* operations
 issue changes — only how their addresses are obtained — so the
 differential tick-vs-soa suite holds bit-identical.
 
+**One pass per broadcast.**  The fast backend does not evaluate the
+closed form bank by bank: :func:`partition_schedules` builds every
+bank's table in a single pass over the command's element addresses
+(then decodes each owning bank's words once), and the same pass
+partitions explicit scatter/gather address streams.
+:func:`build_stride_schedule` — the closed form — is the oracle the
+property suite holds that partition to, bank by bank.
+
 **Memoization.**  Schedules are memoized with the same content-key
 discipline as the engine's result cache: the key is the full value tuple
 above, never an object identity, and the cached value is immutable
 (tuples only), so two vectors can share a table but can never alias
-mutable state.  The fast backend memoizes whole broadcasts
-(:func:`repro.pva.soa.broadcast_schedules`, built with the uncached
-:func:`build_stride_schedule`), LRU-bounded to the
-:data:`SCHEDULE_CACHE_SIZE` table budget (long-lived engine workers
-sweep thousands of distinct vectors) and hooked into
-:func:`repro.api.clear_caches`.  The per-bank LRU :func:`stride_schedule`
-and :func:`schedule_cache_info` remain for the benchmark harness's
+mutable state.  The fast backend memoizes whole vector broadcasts
+(:func:`repro.pva.soa.broadcast_schedules`, one partition pass per
+miss), LRU-bounded to the :data:`SCHEDULE_CACHE_SIZE` table budget
+(long-lived engine workers sweep thousands of distinct vectors) and
+hooked into :func:`repro.api.clear_caches`; explicit address streams
+are not memoized.  The per-bank LRU :func:`stride_schedule` and
+:func:`schedule_cache_info` remain for the benchmark harness's
 instrumentation (``perfbench/``); no simulator path fills that LRU.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.decode import decompose_stride
 
 __all__ = [
     "BankSchedule",
     "build_stride_schedule",
+    "partition_schedules",
     "stride_schedule",
     "pairs_schedule",
     "schedule_cache_info",
@@ -112,33 +121,38 @@ class BankSchedule:
 def _decode(
     local_words: Tuple[int, ...], geometry: Tuple
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[bool, ...]]:
-    """Decode a word sequence into (ibanks, rows, next_same_row) under a
-    device geometry descriptor."""
+    """Decode a non-empty word sequence into (ibanks, rows,
+    next_same_row) under a device geometry descriptor."""
     kind = geometry[0]
+    last = len(local_words) - 1
     if kind == _GEOM_ROTATED:
-        # SDRAM: consecutive rows rotate internal banks
-        # (see SDRAMDevice.locate).
+        # SDRAM: consecutive rows rotate internal banks (see
+        # SDRAMDevice.locate).  The row sequence number packs the
+        # internal bank and the row, so equal neighbours are exactly
+        # same-row neighbours.
         row_bits, ib_bits = geometry[1], geometry[2]
         ib_mask = (1 << ib_bits) - 1
-        ibanks = []
-        rows = []
-        for word in local_words:
-            row_seq = word >> row_bits
-            ibanks.append(row_seq & ib_mask)
-            rows.append(row_seq >> ib_bits)
+        seqs = [word >> row_bits for word in local_words]
+        ibanks = tuple([seq & ib_mask for seq in seqs])
+        rows = tuple([seq >> ib_bits for seq in seqs])
+        next_same_row = tuple(
+            [seqs[j] == seqs[j + 1] for j in range(last)]
+        ) + (False,)
     elif kind == _GEOM_FLAT:
         # SRAM: a single always-open row.
-        n = len(local_words)
-        ibanks = [0] * n
-        rows = [0] * n
+        ibanks = rows = (0,) * (last + 1)
+        next_same_row = (True,) * last + (False,)
     else:  # pragma: no cover - guarded by schedule_geometry discovery
         raise ValueError(f"unknown schedule geometry {geometry!r}")
-    last = len(local_words) - 1
-    next_same_row = tuple(
-        j < last and ibanks[j + 1] == ibanks[j] and rows[j + 1] == rows[j]
-        for j in range(len(local_words))
-    )
-    return tuple(ibanks), tuple(rows), next_same_row
+    return ibanks, rows, next_same_row
+
+
+def _table(
+    indices: Tuple[int, ...], local_words: Tuple[int, ...], geometry: Tuple
+) -> BankSchedule:
+    """A bank's hit table: its elements' indices and local words, plus
+    their decode under ``geometry``."""
+    return BankSchedule(indices, local_words, *_decode(local_words, geometry))
 
 
 @lru_cache(maxsize=256)
@@ -193,8 +207,38 @@ def build_stride_schedule(
         local_words = tuple(
             range(local_first, local_first + count * local_step, local_step)
         )
-    ibanks, rows, next_same_row = _decode(local_words, geometry)
-    return BankSchedule(indices, local_words, ibanks, rows, next_same_row)
+    return _table(indices, local_words, geometry)
+
+
+def partition_schedules(
+    addresses: Sequence[int], num_banks: int, geometry: Tuple
+) -> Tuple[Optional[BankSchedule], ...]:
+    """Every bank's hit table for one broadcast, as a tuple indexed by
+    bank number (``None`` where the bank owns no element), built in a
+    single pass over the command's element addresses.
+
+    Each element goes to bank ``address mod num_banks`` at local word
+    ``address >> log2(num_banks)``; each owning bank's words are then
+    decoded once.  For a base-stride vector this is value-identical to
+    :func:`build_stride_schedule` bank by bank (the property suite pins
+    it); for an explicit address list it is the per-bank snoop, every
+    bank keeping its elements in index order.
+    """
+    shift = num_banks.bit_length() - 1
+    mask = num_banks - 1
+    # Per bank: [indices, local words].
+    owned: List[Optional[list]] = [None] * num_banks
+    for index, address in enumerate(addresses):
+        lists = owned[address & mask]
+        if lists is None:
+            lists = owned[address & mask] = [[], []]
+        lists[0].append(index)
+        lists[1].append(address >> shift)
+    return tuple(
+        None if lists is None
+        else _table(tuple(lists[0]), tuple(lists[1]), geometry)
+        for lists in owned
+    )
 
 
 #: A per-bank memo over :func:`build_stride_schedule`, kept for the
@@ -212,10 +256,11 @@ def pairs_schedule(
     end).  Not memoized — the key would be the whole pair list."""
     if not pairs:
         return None
-    local_words = tuple(word for word, _ in pairs)
-    indices = tuple(index for _, index in pairs)
-    ibanks, rows, next_same_row = _decode(local_words, geometry)
-    return BankSchedule(indices, local_words, ibanks, rows, next_same_row)
+    return _table(
+        tuple(index for _, index in pairs),
+        tuple(word for word, _ in pairs),
+        geometry,
+    )
 
 
 def schedule_cache_info():

@@ -55,11 +55,12 @@ pins down):
 
 1. *Action cycles.*  Each candidate cycle is probed with a
    decision-for-decision mirror of ``BankController.tick`` /
-   ``AccessScheduler.tick``; the next candidate after an action or a
-   failed probe at ``t`` is ``max(bank_bound(t), t + 1)`` where
-   ``bank_bound`` mirrors the object model's ``next_event_cycle`` lower
-   bounds.  A conservative bound degrades to a denser probe walk, never
-   to a different action cycle.
+   ``AccessScheduler.tick``; the next candidate after a failed probe at
+   ``t`` is ``max(bank_bound(t), t + 1)`` where ``bank_bound`` is the
+   earliest cycle any blocked timer, the FIFO head or refresh frees,
+   and after an action it is the action's floor, or that same bound
+   where the floor's probe could only fail.  A conservative bound
+   degrades to a denser probe walk, never to a different action cycle.
 2. *Refresh.*  The object model fires auto-refresh at exactly the
    deadline in every mode (the refresh term is unconditional in the bank
    bound, so the kernel always visits it); the automaton fires it when a
@@ -109,11 +110,8 @@ from repro.pva.schedule import (
     SCHEDULE_CACHE_SIZE,
     BankSchedule,
     pairs_schedule,
+    partition_schedules,
 )
-# The uncached builder, under the module-level name broadcast_schedules
-# resolves at call time (so a wrapper installed on this module sees every
-# per-bank build).
-from repro.pva.schedule import build_stride_schedule as stride_schedule
 from repro.pva.rowpolicy import PaperPolicy
 from repro.sdram.device import SDRAMDevice
 from repro.sim.events import HORIZON
@@ -162,11 +160,9 @@ def numpy_bound_enabled(num_banks: int) -> bool:
     return True
 
 #: Memo bound for the all-banks schedule tuples (one entry per distinct
-#: broadcast vector).  The per-bank tables underneath are built uncached
-#: (``stride_schedule`` here is the plain builder, not the LRU of
-#: :mod:`repro.pva.schedule`), so this is the only schedule memo a run
-#: fills, and at sixteen tables per entry it holds at most
-#: ``SCHEDULE_CACHE_SIZE`` tables.
+#: broadcast vector).  This is the only schedule memo a run fills, and
+#: at sixteen tables per entry it holds at most ``SCHEDULE_CACHE_SIZE``
+#: tables.
 _BROADCAST_CACHE_SIZE = SCHEDULE_CACHE_SIZE // 16
 
 # Vector-context slot layout: a context is a flat mutable list, the
@@ -194,6 +190,23 @@ R_LINE = 3
 R_SCHED = 4  # BankSchedule
 
 
+def stride_schedule(
+    base: int,
+    stride: int,
+    length: int,
+    num_banks: int,
+    geometry: Tuple,
+) -> Tuple[Optional[BankSchedule], ...]:
+    """Every bank's hit table for the vector ``<base, stride, length>``:
+    one :func:`~repro.pva.schedule.partition_schedules` pass over its
+    element addresses.  The closed-form
+    :func:`~repro.pva.schedule.build_stride_schedule` is the oracle the
+    property suite holds this partition to, bank by bank."""
+    return partition_schedules(
+        range(base, base + stride * length, stride), num_banks, geometry
+    )
+
+
 @lru_cache(maxsize=_BROADCAST_CACHE_SIZE)
 def broadcast_schedules(
     base: int,
@@ -205,15 +218,13 @@ def broadcast_schedules(
     """All banks' hit tables for one vector command, as a tuple indexed
     by bank number (``None`` where the bank owns no element).
 
-    One memo probe per broadcast instead of ``num_banks``; the tables
-    themselves come from the same closed-form builder as the object
-    backend's :func:`~repro.pva.schedule.stride_schedule` LRU, so the two
-    backends can never disagree about a schedule's contents.
+    One memo probe per broadcast, and on a miss one
+    :func:`stride_schedule` build (the explicit scatter/gather path runs
+    the same partition pass, unmemoized).  The miss calls the builder
+    through its module name, so the benchmark harness's wrapper on
+    ``stride_schedule`` (``perfbench/``) times every build.
     """
-    return tuple(
-        stride_schedule(base, stride, length, bank, num_banks, geometry)
-        for bank in range(num_banks)
-    )
+    return stride_schedule(base, stride, length, num_banks, geometry)
 
 
 def soa_cache_info():
@@ -287,6 +298,9 @@ class SoaBankAutomaton:
         self.outstanding = front.outstanding
         self.ncmds = len(front.commands)
         self.ledger_names = tuple(f"bank-{bank.bank}" for bank in banks)
+        #: Candidate cycles examined by :meth:`_run_bank` (a work
+        #: counter, see :class:`~repro.sim.stats.WorkCounters`).
+        self.probes = 0
 
         device0 = banks[0].device
         self.has_rows = bool(device0.has_rows)
@@ -312,7 +326,6 @@ class SoaBankAutomaton:
         self.bypass = params.bypass_paths
         self.fhc_latency = params.fhc_latency
         self.num_banks = params.num_banks
-        self.bank_bits = params.bank_bits
         self._pla = banks[0].fhp.pla
         self._geom = device0.schedule_geometry
 
@@ -441,8 +454,8 @@ class SoaBankAutomaton:
         return target if target > cycle else cycle
 
     def account(self, start: int, end: int) -> Tuple[int, int, int]:
-        """Constant-cost placeholder: the automaton is self-accounting
-        (the kernel discards this split; see SimKernel.register)."""
+        """Protocol placeholder: the kernel never calls it, because the
+        automaton is self-accounting (see SimKernel.register)."""
         return (0, 0, end - start)
 
     def finalize_ledger(self, total_cycles: int) -> Dict[str, ComponentCycles]:
@@ -486,8 +499,17 @@ class SoaBankAutomaton:
         * The next-event bound is accumulated *during* a failing probe
           (every blocked candidate records the cycle its timer frees)
           instead of by a separate scan, so a failed probe costs one
-          walk, not two; after an action the next probe simply lands on
-          the action's floor (``t + cost``).
+          walk, not two.  After an action the next probe lands on the
+          action's floor (``t + cost``) — except where that probe could
+          only fail, when the next candidate is set directly instead:
+          after an activate that leaves a lone context (no row op can
+          follow, so the earliest of its row timer's column-ready cycle,
+          the FIFO head's ready cycle and the refresh deadline), and
+          after a burst that drains the window while FIFO work is queued
+          (the earlier of the head's ready cycle and the refresh
+          deadline).  Either candidate may still fall short of the next
+          action (a data-pin turnaround, say); its probe then fails and
+          finds the bound like any other.
         * The column path issues whole same-row runs as **bursts**
           whenever every in-flight context sits on its open row — then
           no row operation can fire on any burst cycle (row ops need a
@@ -525,8 +547,10 @@ class SoaBankAutomaton:
         burst_ok = self.paper[b] or not has_rows
         storage = self.storage[b]
         processed = False
+        probes = 0
         t = bound[b]
         while True:
+            probes += 1
             if not rqf and not win:
                 # Only the refresh deadline can act, and with no pending
                 # work it may not run ahead of kernel time: the object
@@ -546,9 +570,11 @@ class SoaBankAutomaton:
                     t = nr[b]
                     continue
                 bound[b] = deadline
+                self.probes += probes
                 return processed
             if t >= h:
                 bound[b] = t
+                self.probes += probes
                 return processed
             deadline = nr[b]
             if t >= deadline:
@@ -576,6 +602,9 @@ class SoaBankAutomaton:
             progressed = False
             nwin = len(win)
             nb = deadline
+            # ``jump``: where the next candidate lands after an action
+            # whose successor probe could only fail (0 = the floor).
+            jump = 0
             if rqf and nwin < max_ctx:
                 ready = rqf[0][0]
                 if ready <= t:
@@ -656,6 +685,21 @@ class SoaBankAutomaton:
                                 self.ib_act[u] += 1
                                 self.sched_act[b] += 1
                                 cost = 1
+                                if nwin == 1:
+                                    # A lone context on its new row: no
+                                    # row op can follow, so nothing acts
+                                    # before its row timer frees its
+                                    # column, the FIFO head is ready, or
+                                    # refresh is due (a lower bound: a
+                                    # data-pin wait is left to the next
+                                    # probe).
+                                    jump = col[u]
+                                    if rqf and max_ctx > 1:
+                                        ready = rqf[0][0]
+                                        if ready < jump:
+                                            jump = ready
+                                    if deadline < jump:
+                                        jump = deadline
                                 break
                             if x < nb:
                                 nb = x
@@ -801,6 +845,12 @@ class SoaBankAutomaton:
                             vc0[5] = pos + run
                             if rem == 0:
                                 del win[0]
+                                if rqf and not win:
+                                    # Drained: only the FIFO head's
+                                    # dequeue or refresh can act next.
+                                    jump = rqf[0][0]
+                                    if deadline < jump:
+                                        jump = deadline
                             cost = run
                     if cost == 0:
                         # -- generic walk (AccessScheduler._try_column):
@@ -922,8 +972,11 @@ class SoaBankAutomaton:
                 # the run at t + cost — nothing (in particular no row
                 # operation for the next element) may fire inside it.
                 floor = t + cost
+                if jump > floor:
+                    floor = jump
                 if floor >= h:
                     bound[b] = floor
+                    self.probes += probes
                     return True
                 t = floor
                 continue
@@ -1033,10 +1086,7 @@ class SoaBankAutomaton:
         counterpart of looping BankController.broadcast over the banks.
         ``cycle`` is the delivery cycle (last broadcast bus cycle),
         ``call_cycle`` the front end's current cycle (ledger anchor).
-        Banks that own no element are skipped outright: staging is
-        per transaction, so there is no per-bank slot to open.
         Returns the summed element count."""
-        txn = self._transaction(txn_id)
         schedules = broadcast_schedules(
             vector.base,
             vector.stride,
@@ -1044,10 +1094,88 @@ class SoaBankAutomaton:
             self.num_banks,
             self._geom,
         )
-        power_of_two = self._pla.entry(vector.stride).power_of_two
-        # The _queue tail, fused across the bank loop with the shared
-        # state in locals (this runs once per bank per broadcast — the
-        # broadcast side's hot path).
+        return self._enqueue(
+            self._transaction(txn_id),
+            enumerate(schedules),
+            is_write,
+            cycle,
+            write_line,
+            call_cycle,
+            self._pla.entry(vector.stride).power_of_two,
+        )
+
+    def broadcast_explicit(
+        self,
+        txn_id: int,
+        addresses: Tuple[int, ...],
+        is_write: bool,
+        cycle: int,
+        write_line: Optional[Tuple[int, ...]],
+        call_cycle: int,
+    ) -> int:
+        """All banks snoop one explicit scatter/gather address stream
+        (BankController.broadcast_explicit on every bank), partitioned
+        in a single pass over the addresses."""
+        return self._enqueue(
+            self._transaction(txn_id),
+            enumerate(
+                partition_schedules(addresses, self.num_banks, self._geom)
+            ),
+            is_write,
+            cycle,
+            write_line,
+            call_cycle,
+            None,
+        )
+
+    def broadcast_pairs(
+        self,
+        b: int,
+        txn_id: int,
+        pairs: Tuple[Tuple[int, int], ...],
+        is_write: bool,
+        cycle: int,
+        write_line: Optional[Tuple[int, ...]],
+        stride: Optional[int],
+        call_cycle: int,
+    ) -> int:
+        """BankController.broadcast_pairs: queue bank ``b``'s
+        pre-partitioned ``(local_word, index)`` elements (the
+        cache-line/block interleave front end, with the real stride's
+        FHP/FHC timing, or explicit snoop timing for ``stride=None``)."""
+        schedule = pairs_schedule(pairs, self._geom)
+        if schedule is None:
+            return 0
+        power_of_two = (
+            None if stride is None else self._pla.entry(stride).power_of_two
+        )
+        return self._enqueue(
+            self._transaction(txn_id),
+            ((b, schedule),),
+            is_write,
+            cycle,
+            write_line,
+            call_cycle,
+            power_of_two,
+        )
+
+    def _enqueue(
+        self,
+        txn,
+        schedules,
+        is_write: bool,
+        cycle: int,
+        write_line: Optional[Tuple[int, ...]],
+        call_cycle: int,
+        power_of_two: Optional[bool],
+    ) -> int:
+        """The broadcast tail, for every ``(bank, schedule)`` pair: skip
+        a bank that owns no element (staging is per transaction, so
+        there is no per-bank slot to open), else run the FHP/FHC
+        ready-cycle pipeline (``power_of_two`` None: explicit snoop
+        timing), append the FIFO entry holding the transaction itself,
+        and maintain the ledger and the next-event bound.  Returns the
+        summed element count."""
         rqfs = self._rqf
         wins = self._win
         bound = self.bound
@@ -1061,8 +1189,7 @@ class SoaBankAutomaton:
         fhc_latency = self.fhc_latency
         iw = int(is_write)
         total = 0
-        for b in range(self.n):
-            schedule = schedules[b]
+        for b, schedule in schedules:
             if schedule is None:
                 continue
             rqf = rqfs[b]
@@ -1073,7 +1200,10 @@ class SoaBankAutomaton:
                 )
             win = wins[b]
             idle = not rqf and not win
-            if power_of_two:
+            if power_of_two is None:
+                # Explicit snoop: ready one cycle after the broadcast ends.
+                ready = cycle + 1
+            elif power_of_two:
                 # FHP shift/mask path (+ FHP-to-VC bypass when idle).
                 ready = cycle + 1 if (bypass and idle) else cycle + 2
             else:
@@ -1088,7 +1218,8 @@ class SoaBankAutomaton:
             rqf.append((ready, txn, iw, write_line, schedule))
             if not pending[b]:
                 # The bank shows "stalled" from the broadcast call cycle
-                # on; everything before it was idle.
+                # on (_BankComponent.account sees the FIFO entry that
+                # same kernel cycle); everything before it was idle.
                 a = acct[b]
                 if call_cycle > a:
                     idle_c[b] += call_cycle - a
@@ -1108,113 +1239,6 @@ class SoaBankAutomaton:
                 f"broadcast for unregistered transaction {txn_id}"
             )
         return txn
-
-    def broadcast_explicit(
-        self,
-        b: int,
-        txn_id: int,
-        addresses: Tuple[int, ...],
-        is_write: bool,
-        cycle: int,
-        write_line: Optional[Tuple[int, ...]],
-        call_cycle: int,
-    ) -> int:
-        """BankController.broadcast_explicit: snoop the address stream
-        for this bank's elements."""
-        mask = self.num_banks - 1
-        shift = self.bank_bits
-        mine = tuple(
-            (address >> shift, index)
-            for index, address in enumerate(addresses)
-            if (address & mask) == b
-        )
-        return self.broadcast_pairs(
-            b, txn_id, mine, is_write, cycle, write_line, None, call_cycle
-        )
-
-    def broadcast_pairs(
-        self,
-        b: int,
-        txn_id: int,
-        pairs: Tuple[Tuple[int, int], ...],
-        is_write: bool,
-        cycle: int,
-        write_line: Optional[Tuple[int, ...]],
-        stride: Optional[int],
-        call_cycle: int,
-    ) -> int:
-        """BankController.broadcast_pairs: queue pre-partitioned
-        ``(local_word, index)`` elements (explicit snoop with
-        ``stride=None``, or the cache-line/block interleave front end
-        with the real stride's FHP/FHC timing)."""
-        schedule = pairs_schedule(pairs, self._geom)
-        power_of_two = (
-            None if stride is None else self._pla.entry(stride).power_of_two
-        )
-        return self._queue(
-            b,
-            txn_id,
-            schedule,
-            is_write,
-            cycle,
-            write_line,
-            call_cycle,
-            power_of_two,
-        )
-
-    def _queue(
-        self,
-        b: int,
-        txn_id: int,
-        schedule: Optional[BankSchedule],
-        is_write: bool,
-        cycle: int,
-        write_line: Optional[Tuple[int, ...]],
-        call_cycle: int,
-        power_of_two: Optional[bool],
-    ) -> int:
-        """Common broadcast tail: skip a bank that owns no element, else
-        run the FHP/FHC ready-cycle pipeline, append the FIFO entry
-        (holding the transaction itself) and maintain the ledger and the
-        next-event bound."""
-        if schedule is None:
-            return 0
-        txn = self._transaction(txn_id)
-        rqf = self._rqf[b]
-        if len(rqf) >= self.fifo_depth:
-            raise CapacityError(
-                f"bank {b}: request FIFO overflow "
-                f"(depth {self.fifo_depth})"
-            )
-        win = self._win[b]
-        idle = not rqf and not win
-        if power_of_two is None:
-            # Explicit snoop: ready one cycle after the broadcast ends.
-            ready = cycle + 1
-        elif power_of_two:
-            # FHP shift/mask path (+ FHP-to-VC bypass when idle).
-            ready = cycle + 1 if (self.bypass and idle) else cycle + 2
-        else:
-            # FirstHitCalculator.schedule: serial multiply-add.
-            start = cycle + 1
-            if self.fhc_busy[b] > start:
-                start = self.fhc_busy[b]
-            finish = start + self.fhc_latency
-            self.fhc_busy[b] = finish
-            self.fhc_calcs[b] += 1
-            ready = finish if (self.bypass and idle) else finish + 1
-        rqf.append((ready, txn, int(is_write), write_line, schedule))
-        if not self.pending[b]:
-            # The bank shows "stalled" from the broadcast call cycle on
-            # (_BankComponent.account sees the FIFO entry that same
-            # kernel cycle); everything before it was idle.
-            self._settle(b, call_cycle)
-            if call_cycle > self.acct[b]:
-                self.acct[b] = call_cycle
-            self.pending[b] = True
-        if len(rqf) == 1 and len(win) < self.max_ctx and ready < self.bound[b]:
-            self.bound[b] = ready
-        return schedule.count
 
     # ------------------------------------------------------------- #
     # Writeback

@@ -21,7 +21,7 @@ BCs reverses.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.decode import TopologyDecoder
@@ -608,9 +608,12 @@ class PVAMemorySystem:
         kernel = SimKernel(watchdog=watchdog, time_skip=backend == "soa")
         kernel.register(front)
         kernel.register(_BusComponent(bus))
+        soa = None
         if backend == "soa":
-            self._soa = SoaBankAutomaton(self.banks, front, bus, self.params)
-            kernel.register(self._soa)
+            soa = self._soa = SoaBankAutomaton(
+                self.banks, front, bus, self.params
+            )
+            kernel.register(soa)
         else:
             for bank in self.banks:
                 kernel.register(_BankComponent(bank, front))
@@ -620,8 +623,8 @@ class PVAMemorySystem:
         finally:
             # Restore the object graph before any statistics are read
             # (or before the caller inspects state after a timeout).
-            if self._soa is not None:
-                self._soa.writeback()
+            if soa is not None:
+                soa.writeback()
                 self._soa = None
 
         total_cycles = max(front.end_cycle, exit_cycle)
@@ -649,6 +652,11 @@ class PVAMemorySystem:
             command_latencies=front.latencies,
             attribution=kernel.finalize(total_cycles),
             backend=backend,
+            work=(
+                kernel.work()
+                if soa is None
+                else replace(kernel.work(), probes=soa.probes)
+            ),
         )
         if front.read_lines is not None:
             result.read_lines = [
@@ -678,16 +686,14 @@ class PVAMemorySystem:
             )
         elif isinstance(command, ExplicitCommand):
             if soa is not None:
-                for b in range(len(self.banks)):
-                    total += soa.broadcast_explicit(
-                        b,
-                        txn_id,
-                        command.addresses,
-                        is_write,
-                        cycle,
-                        write_line,
-                        call_cycle,
-                    )
+                total = soa.broadcast_explicit(
+                    txn_id,
+                    command.addresses,
+                    is_write,
+                    cycle,
+                    write_line,
+                    call_cycle,
+                )
             else:
                 for bank in self.banks:
                     total += bank.broadcast_explicit(

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.params import SDRAMTiming
-from repro.sim.events import HORIZON
 from repro.sdram.bank import InternalBank
 from repro.sdram.commands import SDRAMCommand
 from repro.sdram.devstats import DeviceStats
@@ -158,45 +157,10 @@ class SDRAMDevice:
             cycle, loc.row
         ) and self.data_pins_ready(cycle, is_write)
 
-    def can_activate(self, local_word: int, cycle: int) -> bool:
-        loc = self.locate(local_word)
-        return self.banks[loc.internal_bank].can_activate(cycle)
-
-    def can_precharge(self, internal_bank: int, cycle: int) -> bool:
-        return self.banks[internal_bank].can_precharge(cycle)
-
-    def row_is_open_for(self, local_word: int) -> bool:
-        """Is the row containing ``local_word`` currently open?"""
-        loc = self.locate(local_word)
-        return self.banks[loc.internal_bank].open_row == loc.row
-
-    def conflicting_row_open(self, local_word: int) -> bool:
-        """Is a *different* row open in this word's internal bank?"""
-        loc = self.locate(local_word)
-        open_row = self.banks[loc.internal_bank].open_row
-        return open_row is not None and open_row != loc.row
-
-    # ----------------------------------------------------------------- #
-    # Time-skip lower bounds
-    # ----------------------------------------------------------------- #
-
     @property
     def next_refresh_cycle(self) -> Optional[int]:
         """Cycle the next auto-refresh fires, or None when disabled."""
         return self._next_refresh
-
-    def next_event_cycle(self, cycle: int) -> int:
-        """Earliest cycle at or after ``cycle`` at which any device
-        resource (an internal bank's restimers, or the refresh engine)
-        releases — the device's generic time-skip lower bound."""
-        bound = HORIZON
-        if self._next_refresh is not None:
-            bound = self._next_refresh
-        for bank in self.banks:
-            ready = bank.next_event_cycle(cycle)
-            if ready < bound:
-                bound = ready
-        return bound if bound > cycle else cycle
 
     # ----------------------------------------------------------------- #
     # Commands

@@ -2,21 +2,21 @@
 
 Cycle-accurate simulation traditionally advances the clock one cycle per
 loop iteration, even though every stalled component already knows the
-exact cycle at which its state can next change — an SDRAM restimer holds
-its release cycle, the vector bus its busy-until cycle, a queued request
-its ready cycle.  The **time-skip engine** exploits that: each component
-exposes a ``next_event_cycle(cycle)`` lower bound, the run loop takes the
-``min()`` over all of them, and when nothing happened this cycle the
-clock jumps straight to that bound instead of ticking through the idle
-gap.
+exact cycle at which its state can next change — a bank's row timers
+hold their release cycles, the vector bus its busy-until cycle, a queued
+request its ready cycle.  The **time-skip engine** exploits that: each
+component exposes a ``next_event_cycle(cycle)`` lower bound, and after
+every visited cycle the run loop takes the ``min()`` over all of them
+and jumps the clock straight to it instead of ticking through the gap.
 
 The contract every bound must honour:
 
 * it is a **lower bound** — the component provably takes no action and
   changes no observable state at any cycle strictly between ``cycle``
   and the returned value, *assuming no other component acts either*
-  (the run loop only skips when the whole machine was idle, so any
-  cross-component interaction resets the search);
+  (the bounds are polled once every component has finished the visited
+  cycle, and the loop never jumps past the earliest of them, so any
+  cross-component interaction lands on a visited cycle);
 * it may be **conservative** — returning ``cycle`` itself (or any
   earlier-than-necessary cycle) merely degrades the skip to a plain
   tick, never changes simulated behaviour;

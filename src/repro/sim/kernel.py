@@ -16,31 +16,47 @@ hands them to a :class:`SimKernel`, which owns the canonical loop:
 1. ``watchdog.check(cycle)`` once per iteration;
 2. tick every component in registration order; each returns an *acted*
    flag — did it change observable state this cycle?
-3. attribute the cycle to each component's busy/stalled/idle ledger;
-4. advance time: one cycle after an acted iteration, otherwise (in
-   time-skip mode) jump to the minimum of every component's
-   ``next_event_cycle`` lower bound, capped at the watchdog's cycle
-   limit so a deadlocked run still raises
-   :class:`~repro.errors.SimulationTimeout`.
+3. advance time.  The reference loop (``time_skip=False``) visits every
+   cycle.  The time-skip loop goes event to event: after every visited
+   cycle — acted or not — it takes the minimum of every component's
+   ``next_event_cycle`` lower bound (all re-polled after an action,
+   only the stale ones otherwise) and jumps to ``max(cycle + 1, min)``,
+   capped at the watchdog's cycle limit so a deadlocked run still
+   raises :class:`~repro.errors.SimulationTimeout`.  After an acted
+   iteration it asks ``done()`` first, so the run still exits at
+   ``cycle + 1`` exactly where the reference loop does;
+4. attribute the advance ``[cycle, target)`` to each component's
+   busy/stalled/idle ledger in one span.
 
 The lower-bound safety argument is therefore stated once, here, instead
-of once per system: the kernel only skips after an iteration in which
-**no** component acted, and each bound promises its component takes no
-action strictly before it (assuming nobody else acts — which the
-acted-flag aggregation guarantees).  An underestimated bound degrades
-to a plain tick; it can never change simulated behaviour.
+of once per system: every component has finished the visited cycle when
+the bounds are polled, so the state they describe is exactly the state
+the next cycle's ticks would see, and each bound promises its component
+takes no action strictly before it (assuming nobody else acts — and by
+induction over registration order, nobody does before the minimum).
+An underestimated bound degrades to a plain tick; it can never change
+simulated behaviour.
+
+**Passive and self-accounting components.**  A
+:class:`PassiveComponent` (the vector bus) never acts, so it is never
+ticked or polled — only attributed.  A self-accounting component (the
+bank automaton, see :meth:`SimKernel.register`) keeps its own ledger,
+so it is only ticked and polled — never attributed.
 
 **Cycle attribution.**  The kernel keeps a per-component ledger of
 where cycles went: *busy* (the component acted), *stalled* (it had
-pending work but could not act), *idle* (nothing to do).  Ticked cycles
-are classified directly; skipped spans are classified through each
-component's :meth:`ClockedComponent.account` — legal because no state
-changes inside a skipped span, so one query describes every cycle in
-it.  The classification depends only on component state, never on which
-cycles the loop happened to visit, so the ledger is identical between
-the tick and time-skip loops and each component's buckets sum to the
-run's total cycle count (:meth:`SimKernel.finalize` pads the tail when
-a data transfer outlives the loop).
+pending work but could not act), *idle* (nothing to do).  Each advance
+is attributed as one span per component: the visited cycle is busy for
+a component that acted in it, and the rest of the span is classified
+by the component's :meth:`ClockedComponent.account` — legal because no
+state changes inside it, so one query describes every cycle in it.  The
+classification depends only on component state, never on which cycles
+the loop happened to visit, so the ledger is identical between the tick
+and time-skip loops and each component's buckets sum to the run's total
+cycle count (:meth:`SimKernel.finalize` pads the tail when a data
+transfer outlives the loop).  The loop also counts its work — visited
+cycles, tick dispatches, skipped cycles — for
+:attr:`RunResult.work <repro.sim.stats.RunResult.work>`.
 """
 
 from __future__ import annotations
@@ -50,7 +66,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Tuple, runtime_chec
 from repro.errors import ConfigurationError
 from repro.sim.events import HORIZON
 from repro.sim.runner import Watchdog
-from repro.sim.stats import ComponentCycles
+from repro.sim.stats import ComponentCycles, WorkCounters
 
 __all__ = ["ClockedComponent", "PassiveComponent", "SimKernel"]
 
@@ -79,8 +95,9 @@ class ClockedComponent(Protocol):
         Classify the quiet span ``[start, end)`` — cycles in which this
         component provably did not act — into (busy, stalled, idle)
         counts summing to ``end - start``.  Must depend only on current
-        component state so the split is identical whether the loop
-        visited those cycles one by one or jumped over them.  (A
+        component state (and on each cycle's position in the span) so
+        the split is identical whether the loop visited those cycles one
+        by one or attributed them as one span.  (A
         passive component such as the bus may report *busy* here: it
         carries data without taking scheduling actions.)
     """
@@ -101,8 +118,8 @@ class PassiveComponent:
     """Convenience base for components that never take actions of their
     own (state machines driven entirely by other components, like the
     vector bus).  Subclasses override :meth:`account` to classify their
-    quiet cycles; ``tick`` never acts and ``next_event_cycle`` never
-    wakes the kernel."""
+    quiet cycles; the kernel never calls ``tick`` or
+    ``next_event_cycle`` on them (they never act and never wake it)."""
 
     name = "passive"
 
@@ -127,7 +144,7 @@ class SimKernel:
     time_skip:
         Resolved run-loop mode (see
         :func:`repro.sim.events.time_skip_enabled`).  False ticks every
-        cycle — the reference loop; True enables the next-event jump.
+        cycle — the reference loop; True advances event to event.
     """
 
     def __init__(self, *, watchdog: Watchdog, time_skip: bool = True):
@@ -139,6 +156,11 @@ class SimKernel:
         self._self_accounting: List[ClockedComponent] = []
         self.cycle = 0
         self._finalized_to: Optional[int] = None
+        #: Work counters (see :class:`~repro.sim.stats.WorkCounters`):
+        #: visited cycles, component tick dispatches, skipped cycles.
+        self.visits = 0
+        self.dispatches = 0
+        self.skipped = 0
 
     # ------------------------------------------------------------- #
     # Registry
@@ -153,9 +175,8 @@ class SimKernel:
         attributed by the kernel.  It represents several logical
         components stepped as one (the structure-of-arrays bank
         automaton speaks for all sixteen ``bank-*`` entries): the kernel
-        reserves its names in ledger order here and merges its buckets
-        at :meth:`finalize`; the per-cycle ``account`` splits it returns
-        to the run loop are discarded.
+        reserves its names in ledger order here, never calls its
+        ``account``, and merges its buckets at :meth:`finalize`.
         """
         name = getattr(component, "name", None)
         if not name:
@@ -197,94 +218,116 @@ class SimKernel:
             raise ConfigurationError(
                 "SimKernel.run called with no registered components"
             )
-        components = self._components
-        ledger = self._ledger
+        # Hot-loop locals, split once: passive components are only ever
+        # attributed (never ticked or polled), self-accounting ones only
+        # ever ticked and polled (never attributed).  ``attributed[i]``
+        # is the (account, ledger entry) pair of stepped component i, or
+        # None for a self-accounting one.
+        stepped = [
+            component
+            for component in self._components
+            if not isinstance(component, PassiveComponent)
+        ]
+        ticks = [component.tick for component in stepped]
+        bounds = [component.next_event_cycle for component in stepped]
+        attributed = [
+            None
+            if component in self._self_accounting
+            else (component.account, self._ledger[component.name])
+            for component in stepped
+        ]
+        passive = [
+            (component.account, self._ledger[component.name])
+            for component in self._components
+            if isinstance(component, PassiveComponent)
+        ]
         watchdog = self.watchdog
         time_skip = self.time_skip
-        cycle = self.cycle
-        # Hot-loop locals: bound methods and ledger entries resolved once,
-        # indexed by registration position.
-        n = len(components)
-        positions = range(n)
-        ticks = [component.tick for component in components]
-        bounds = [component.next_event_cycle for component in components]
-        accounts = [component.account for component in components]
-        # Self-accounting components write their own ledgers; the run
-        # loop's per-cycle attribution for them lands in a throwaway
-        # entry (their account() is a constant-cost placeholder).
-        entries = [
-            ledger[component.name]
-            if component.name in ledger
-            else ComponentCycles()
-            for component in components
-        ]
-        acted_flags = [False] * n
-        # Dispatch gating: after a no-act iteration every component's
-        # lower bound is cached; on later cycles a component whose cached
-        # bound is still ahead is not re-polled at all.  A cached bound
-        # is only trusted while *nothing* has acted since it was computed
-        # (the events.py contract: "assuming no other component acts") —
-        # any action, even by an earlier component in the same cycle,
-        # voids the cache, so gated components are exactly those the old
-        # loop would have ticked to no effect.  Works in both run-loop
-        # modes; in skip mode the same cache also feeds the jump target.
-        cached = [0] * n
+        cycle = start = self.cycle
+        positions = range(len(ticks))
+        acted_flags = [False] * len(ticks)
+        # Dispatch gating: a component's lower bound, once polled, is
+        # cached; on later cycles a component whose cached bound is still
+        # ahead is not ticked at all.  A cached bound is only trusted
+        # while *nothing* has acted since it was computed (the events.py
+        # contract: "assuming no other component acts") — any action,
+        # even by an earlier component in the same cycle, voids it, so
+        # gated components are exactly those an always-tick loop would
+        # have ticked to no effect.  In skip mode the same cache also
+        # picks the jump target.
+        cached = [0] * len(ticks)
         cache_valid = False
-        while not done():
+        visits = dispatches = 0
+        # ``done()`` can only change when something acts, so it is asked
+        # once up front and then only after acted iterations.
+        finished = done()
+        while not finished:
             watchdog.check(cycle)
+            visits += 1
             acted_any = False
             for i in positions:
                 if cache_valid and not acted_any and cached[i] > cycle:
                     acted_flags[i] = False
                     continue
+                dispatches += 1
                 acted = ticks[i](cycle)
                 acted_flags[i] = acted
                 if acted:
                     acted_any = True
-            # -- attribute this (visited) cycle ----------------------
-            # Skipped-dispatch components take the non-acted branch: the
-            # account() split is what the old always-tick loop recorded
-            # for them, so the ledger is invariant under gating.
-            for i in positions:
-                if acted_flags[i]:
-                    entries[i].busy += 1
-                else:
-                    busy, stalled, idle = accounts[i](cycle, cycle + 1)
-                    entry = entries[i]
-                    entry.busy += busy
-                    entry.stalled += stalled
-                    entry.idle += idle
             # -- advance time ----------------------------------------
-            # Reference loop: one cycle at a time.  Fast path: after an
-            # iteration in which nothing acted, jump to the earliest
-            # cycle at which anything *could* happen — the min over
-            # every component's lower bound, clamped to the watchdog's
-            # deadline so a deadlocked run still times out.  A bound at
-            # or below the current cycle degrades to a plain tick.
-            if acted_any:
-                cache_valid = False
-                cycle += 1
-                continue
-            target = HORIZON
+            nxt = cycle + 1
+            target = nxt
+            if acted_any and done():
+                # The run ends here, at the next cycle, in either loop.
+                finished = True
+            elif acted_any and not time_skip:
+                cache_valid = False  # the reference loop just steps on
+            else:
+                # Poll the bounds — all of them after an action, only
+                # the stale ones otherwise.  Skip mode jumps to their
+                # minimum, clamped to the watchdog's deadline so a
+                # deadlocked run still times out; a bound at or below
+                # the next cycle degrades to a plain tick.
+                earliest = HORIZON
+                for i in positions:
+                    if acted_any or not cache_valid or cached[i] <= cycle:
+                        cached[i] = bounds[i](cycle)
+                    if cached[i] < earliest:
+                        earliest = cached[i]
+                cache_valid = True
+                if time_skip and earliest > nxt:
+                    target = watchdog.clamp_skip(earliest)
+            # -- attribute the advance [cycle, target) ---------------
+            # One span per component: the visited cycle is busy for a
+            # component that acted in it, and the rest of the span is
+            # classified by account() from the state the iteration left
+            # (nothing changes inside it, by the bound contract).  Gated
+            # components take the non-acted branch, so the ledger is
+            # invariant under gating.
             for i in positions:
-                if not cache_valid or cached[i] <= cycle:
-                    cached[i] = bounds[i](cycle)
-                bound = cached[i]
-                if bound < target:
-                    target = bound
-            cache_valid = True
-            if time_skip:
-                target = watchdog.clamp_skip(target)
-                if target > cycle + 1:
-                    for i in positions:
-                        busy, stalled, idle = accounts[i](cycle + 1, target)
-                        entry = entries[i]
-                        entry.busy += busy
-                        entry.stalled += stalled
-                        entry.idle += idle
-                    cycle = target
+                pair = attributed[i]
+                if pair is None:
                     continue
-            cycle += 1
+                account, entry = pair
+                if acted_flags[i]:
+                    entry.busy += 1
+                    if target == nxt:
+                        continue
+                    busy, stalled, idle = account(nxt, target)
+                else:
+                    busy, stalled, idle = account(cycle, target)
+                entry.busy += busy
+                entry.stalled += stalled
+                entry.idle += idle
+            for account, entry in passive:
+                busy, stalled, idle = account(cycle, target)
+                entry.busy += busy
+                entry.stalled += stalled
+                entry.idle += idle
+            cycle = target
+        self.visits += visits
+        self.dispatches += dispatches
+        self.skipped += cycle - start - visits
         self.cycle = cycle
         return cycle
 
@@ -309,8 +352,8 @@ class SimKernel:
                 )
             if total_cycles > self.cycle:
                 for component in self._components:
-                    if component.name not in self._ledger:
-                        continue  # self-accounting: closes its own tail
+                    if component in self._self_accounting:
+                        continue  # closes its own tail below
                     busy, stalled, idle = component.account(
                         self.cycle, total_cycles
                     )
@@ -334,6 +377,15 @@ class SimKernel:
                 f"cannot re-finalize at {total_cycles}"
             )
         return dict(self._ledger)
+
+    def work(self) -> WorkCounters:
+        """The loop's work counters so far (``probes`` is left 0: only
+        a bank automaton has them, and its system fills them in)."""
+        return WorkCounters(
+            visits=self.visits,
+            dispatches=self.dispatches,
+            skipped=self.skipped,
+        )
 
     @property
     def ledger(self) -> Dict[str, ComponentCycles]:

@@ -15,7 +15,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sdram.devstats import DeviceStats
 
-__all__ = ["FALLBACK_PREFIX", "BusStats", "ComponentCycles", "RunResult"]
+__all__ = [
+    "FALLBACK_PREFIX",
+    "BusStats",
+    "ComponentCycles",
+    "RunResult",
+    "WorkCounters",
+]
 
 #: :attr:`RunResult.backend` prefix of a run that requested the fast
 #: backend but fell back to the reference object backend (on the tick
@@ -59,6 +65,25 @@ class ComponentCycles:
             stalled=int(data.get("stalled", 0)),
             idle=int(data.get("idle", 0)),
         )
+
+
+@dataclass(frozen=True)
+class WorkCounters:
+    """How much stepping one run took, in counts that do not depend on
+    the host (so tests can pin them exactly where timings are noise).
+
+    * **visits** — cycles the kernel loop visited;
+    * **dispatches** — component ``tick`` calls it made;
+    * **skipped** — cycles it jumped over (``visits + skipped`` is the
+      loop's exit cycle);
+    * **probes** — candidate cycles the bank automaton examined
+      (0 when the reference object backend stepped the banks).
+    """
+
+    visits: int = 0
+    dispatches: int = 0
+    skipped: int = 0
+    probes: int = 0
 
 
 @dataclass
@@ -113,6 +138,11 @@ class RunResult:
     #: None for the analytic baselines.  Excluded from equality: the
     #: backends are bit-identical by contract.
     backend: Optional[str] = field(default=None, compare=False)
+    #: The run's :class:`WorkCounters` (None for a system that does not
+    #: report them).  Excluded from equality and from the result cache,
+    #: like :attr:`backend`: the two backends do different work for
+    #: identical results.
+    work: Optional[WorkCounters] = field(default=None, compare=False)
 
     @property
     def cycles_per_command(self) -> float:

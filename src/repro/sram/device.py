@@ -88,25 +88,6 @@ class SRAMDevice:
     def can_column(self, local_word: int, cycle: int, is_write: bool) -> bool:
         return self.data_pins_ready(cycle, is_write)
 
-    def can_activate(self, local_word: int, cycle: int) -> bool:
-        return False  # nothing to activate
-
-    def can_precharge(self, internal_bank: int, cycle: int) -> bool:
-        return False  # nothing to precharge
-
-    def row_is_open_for(self, local_word: int) -> bool:
-        return True
-
-    def conflicting_row_open(self, local_word: int) -> bool:
-        return False
-
-    # --- time-skip lower bounds ---------------------------------------- #
-
-    def next_event_cycle(self, cycle: int) -> int:
-        """Generic time-skip bound: the pin release in either direction."""
-        ready = self._last_column_cycle + 1
-        return ready if ready > cycle else cycle
-
     # --- commands ------------------------------------------------------ #
 
     def column(

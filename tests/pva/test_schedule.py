@@ -25,8 +25,10 @@ from repro.kernels import ALIGNMENTS
 from repro.params import SDRAMTiming, SystemParams
 from repro.pva.schedule import (
     SCHEDULE_CACHE_SIZE,
+    build_stride_schedule,
     clear_schedule_cache,
     pairs_schedule,
+    partition_schedules,
     schedule_cache_info,
     stride_schedule,
 )
@@ -231,3 +233,88 @@ def test_degenerate_stride_hits_base_bank_only():
         ]
         assert hits[5].count == 7
         assert hits[5].indices == tuple(range(7))
+
+
+# --------------------------------------------------------------------- #
+# The one-pass broadcast partition (the fast backend's schedule builder)
+# --------------------------------------------------------------------- #
+
+SCHEDULE_FIELDS = ("count", "indices", "local_words", "ibanks", "rows",
+                   "next_same_row")
+
+
+def _assert_same_table(got, want, context):
+    assert (got is None) == (want is None), context
+    if want is not None:
+        for field in SCHEDULE_FIELDS:
+            assert getattr(got, field) == getattr(want, field), (
+                context, field
+            )
+
+
+def _partition_geometries():
+    return (
+        ("sdram", SDRAMDevice(SDRAMTiming()).schedule_geometry),
+        ("sram", SRAMDevice().schedule_geometry),
+    )
+
+
+@pytest.mark.parametrize("num_banks", [4, 16, 64])
+@pytest.mark.parametrize("kind, geometry", _partition_geometries())
+def test_partition_matches_closed_form(num_banks, kind, geometry):
+    """The one-pass partition equals the closed-form builder bank by
+    bank: strides 1..64 (multiples of the bank count included), every
+    paper alignment, every length from 1 to ``max_vector_length``."""
+    params = SystemParams(num_banks=num_banks)
+    for stride in range(1, 65):
+        for alignment in ALIGNMENTS:
+            base = 96 + alignment.offset(1, params)
+            for length in range(1, params.max_vector_length + 1):
+                tables = partition_schedules(
+                    range(base, base + stride * length, stride),
+                    num_banks,
+                    geometry,
+                )
+                assert len(tables) == num_banks
+                for bank in range(num_banks):
+                    _assert_same_table(
+                        tables[bank],
+                        build_stride_schedule(
+                            base, stride, length, bank, num_banks, geometry
+                        ),
+                        (num_banks, stride, alignment.name, length, bank),
+                    )
+
+
+def _per_bank_snoop(addresses, bank, num_banks, geometry):
+    """The explicit-command snoop one bank controller runs on its own:
+    keep the stream's elements that map to this bank, in index order."""
+    shift = num_banks.bit_length() - 1
+    mine = tuple(
+        (address >> shift, index)
+        for index, address in enumerate(addresses)
+        if address & (num_banks - 1) == bank
+    )
+    return pairs_schedule(mine, geometry)
+
+
+@pytest.mark.parametrize("num_banks", [4, 16, 64])
+@pytest.mark.parametrize("kind, geometry", _partition_geometries())
+def test_explicit_partition_matches_per_bank_snoop(num_banks, kind, geometry):
+    """Scatter/gather address streams — unordered, repeated words,
+    sparse and clustered — partition exactly as sixteen per-bank snoops
+    of the same stream would."""
+    rng = random.Random(num_banks)
+    longest = SystemParams(num_banks=num_banks).max_vector_length
+    for _ in range(200):
+        length = rng.randrange(1, longest + 1)
+        span = rng.choice([num_banks, 4096, 1 << 20])
+        addresses = tuple(rng.randrange(span) for _ in range(length))
+        tables = partition_schedules(addresses, num_banks, geometry)
+        assert sum(t.count for t in tables if t is not None) == length
+        for bank in range(num_banks):
+            _assert_same_table(
+                tables[bank],
+                _per_bank_snoop(addresses, bank, num_banks, geometry),
+                (addresses, bank),
+            )

@@ -38,7 +38,7 @@ class TestGeometry:
 
 class TestTiming:
     def test_full_read_sequence(self, device):
-        assert device.can_activate(0, 0)
+        assert device.banks[0].can_activate(0)
         device.activate(0, 0)
         assert not device.can_column(0, 1, is_write=False)
         assert device.can_column(0, 2, is_write=False)
@@ -78,14 +78,6 @@ class TestTiming:
         device.activate(512, 1)  # internal bank 1 next cycle
         assert device.can_column(0, 2, is_write=False)
         assert device.can_column(512, 3, is_write=False)
-
-    def test_conflicting_row_open(self, device):
-        device.activate(0, 0)
-        # word 2048 is internal bank 0, row 1.
-        assert device.conflicting_row_open(2048)
-        assert not device.conflicting_row_open(5)
-        assert device.row_is_open_for(5)
-        assert not device.row_is_open_for(2048)
 
 
 class TestStorage:

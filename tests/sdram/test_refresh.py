@@ -32,8 +32,8 @@ class TestDeviceRefresh:
         assert device.open_row(0) == 0
         assert device.maybe_refresh(100)
         assert device.open_row(0) is None
-        assert not device.can_activate(0, 105)
-        assert device.can_activate(0, 108)
+        assert not device.banks[0].can_activate(105)
+        assert device.banks[0].can_activate(108)
 
     def test_refresh_embeds_precharge(self):
         """A refreshed bank needs no extra t_rp before reopening."""

@@ -15,10 +15,7 @@ def device():
 class TestSRAM:
     def test_no_row_state(self, device):
         assert not device.has_rows
-        assert device.row_is_open_for(12345)
-        assert not device.conflicting_row_open(12345)
-        assert not device.can_activate(0, 0)
-        assert not device.can_precharge(0, 0)
+        assert device.schedule_geometry == ("flat",)
 
     def test_single_cycle_access(self, device):
         assert device.can_column(0, 0, is_write=False)

@@ -1,10 +1,12 @@
-"""Unit tests for the next-event time-skip lower bounds.
+"""Unit tests for the state the next-event time-skip bounds read.
 
 The differential suite (``test_time_skip_equivalence.py``) proves the
-composed engine cycle-exact; these tests pin the per-component contract:
-each ``next_event_cycle(cycle)`` is clamped to ``>= cycle``, matches the
-component's own scoreboard, and :data:`~repro.sim.events.HORIZON` is a
-plain int far beyond any simulated cycle.
+composed engine cycle-exact, and ``test_kernel.py`` pins the loop; these
+tests pin what the component bounds are computed from: the refresh
+schedule the bank automaton's deadline tracks, the bus's busy-until
+frontier the front end's bound waits on, and
+:data:`~repro.sim.events.HORIZON` being a plain int far beyond any
+simulated cycle.
 """
 
 from __future__ import annotations
@@ -12,28 +14,8 @@ from __future__ import annotations
 
 from repro.params import SDRAMTiming, SystemParams
 from repro.sdram.device import SDRAMDevice
-from repro.sdram.restimer import Restimer
 from repro.sim.events import HORIZON
 from repro.bus.vector_bus import VectorBus
-
-
-class TestRestimerBound:
-    def test_idle_restimer_returns_now(self):
-        timer = Restimer("t_rcd")
-        assert timer.next_event_cycle(5) == 5
-
-    def test_held_restimer_returns_release(self):
-        timer = Restimer("t_rp")
-        timer.hold_until(12)
-        assert timer.next_event_cycle(5) == 12
-        # The bound agrees with the scoreboard on both sides.
-        assert not timer.available(11)
-        assert timer.available(12)
-
-    def test_bound_clamps_to_cycle(self):
-        timer = Restimer("t_rcd")
-        timer.hold_until(3)
-        assert timer.next_event_cycle(7) == 7
 
 
 class TestSDRAMDeviceBounds:
@@ -46,20 +28,19 @@ class TestSDRAMDeviceBounds:
         assert not device.maybe_refresh(99)
         assert device.maybe_refresh(100)
         assert device.next_refresh_cycle == 200
-        # A refresh occupies the banks: their bounds move past t_rfc.
-        assert device.next_event_cycle(101) >= 100 + device.timing.t_rfc
-
-    def test_bound_clamps_to_cycle(self):
-        device = self.make()
-        assert device.next_event_cycle(50) == 50
+        # A refresh occupies the banks for t_rfc cycles.
+        t_rfc = device.timing.t_rfc
+        assert not device.banks[0].can_activate(100 + t_rfc - 1)
+        assert device.banks[0].can_activate(100 + t_rfc)
 
 
 class TestVectorBusBound:
     def test_tracks_busy_until(self):
         bus = VectorBus(SystemParams())
         freed = bus.broadcast_request(10)
-        assert bus.next_event_cycle(10) == freed
-        assert bus.next_event_cycle(freed + 3) == freed + 3
+        assert bus.busy_until == freed
+        assert not bus.is_free(freed - 1)
+        assert bus.is_free(freed)
 
 
 class TestHorizonSentinel:

@@ -8,7 +8,7 @@ from repro.errors import ConfigurationError, SimulationTimeout
 from repro.sim.events import HORIZON
 from repro.sim.kernel import PassiveComponent, SimKernel
 from repro.sim.runner import SimulationLimits, Watchdog
-from repro.sim.stats import ComponentCycles
+from repro.sim.stats import ComponentCycles, WorkCounters
 
 
 class Pulse:
@@ -259,3 +259,101 @@ class TestSelfAccounting:
         exit_cycle = kernel.run(duo.done)
         with pytest.raises(ConfigurationError):
             kernel.finalize(exit_cycle)
+
+
+class TestEventToEventAdvance:
+    """The skip loop re-polls every bound right after an acted iteration
+    and jumps straight to the next event; the reference loop still
+    visits every cycle."""
+
+    SCHEDULES = [[3, 4, 20], [10, 30]]
+
+    def test_jump_after_action_matches_reference(self):
+        tick_kernel, tick_pulses, tick_exit = _run(self.SCHEDULES, False)
+        skip_kernel, skip_pulses, skip_exit = _run(self.SCHEDULES, True)
+        assert skip_exit == tick_exit == 31
+        assert [p.fired for p in skip_pulses] == [
+            p.fired for p in tick_pulses
+        ]
+        assert skip_kernel.finalize(skip_exit) == tick_kernel.finalize(
+            tick_exit
+        )
+        # Cycle 0 plus the five event cycles — no empty visit after an
+        # action — and every other cycle jumped over.
+        assert skip_kernel.work() == WorkCounters(
+            visits=6, dispatches=10, skipped=25
+        )
+        assert tick_kernel.work().visits == tick_exit
+        assert tick_kernel.work().skipped == 0
+
+    def test_done_right_after_action_exits_next_cycle(self):
+        """The exit cycle does not move: ``done()`` is asked before the
+        post-action jump, so a far-off bound elsewhere is never taken."""
+        kernel = SimKernel(watchdog=_watchdog(), time_skip=True)
+        pulse = kernel.register(Pulse("pulse", [5]))
+        kernel.register(Pulse("far", [900]))
+        assert kernel.run(pulse.done) == 6
+        ledger = kernel.finalize(6)
+        assert ledger["pulse"] == ComponentCycles(busy=1, stalled=5)
+        assert ledger["far"] == ComponentCycles(stalled=6)
+
+    def test_passive_component_is_never_ticked_or_polled(self):
+        class Counting(PassiveComponent):
+            name = "counting"
+            calls = 0
+
+            def tick(self, cycle):
+                Counting.calls += 1
+                return False
+
+            def next_event_cycle(self, cycle):
+                Counting.calls += 1
+                return HORIZON
+
+            def account(self, start, end):
+                return (end - start, 0, 0)
+
+        for time_skip in (False, True):
+            kernel = SimKernel(watchdog=_watchdog(), time_skip=time_skip)
+            pulse = kernel.register(Pulse("pulse", [4, 9]))
+            kernel.register(Counting())
+            exit_cycle = kernel.run(pulse.done)
+            assert Counting.calls == 0
+            # Still attributed: one span per advance, covering the run.
+            assert kernel.ledger["counting"] == ComponentCycles(
+                busy=exit_cycle
+            )
+
+    def test_self_accounting_component_is_never_accounted(self):
+        class Strict(Duo):
+            def account(self, start, end):
+                raise AssertionError("self-accounting: account() called")
+
+        for time_skip in (False, True):
+            kernel = SimKernel(watchdog=_watchdog(), time_skip=time_skip)
+            duo = kernel.register(Strict([2, 7]))
+            exit_cycle = kernel.run(duo.done)
+            kernel.finalize(exit_cycle + 4)
+
+    def test_busy_deadlock_times_out_at_the_limit(self):
+        """A component that keeps acting but never finishes: the
+        post-action jumps are clamped too, so the run still raises at
+        the first cycle past the budget."""
+
+        class Recording(Watchdog):
+            last_checked = -1
+
+            def check(self, cycle):
+                self.last_checked = cycle
+                super().check(cycle)
+
+        dog = Recording(
+            1,
+            system="test",
+            limits=SimulationLimits(max_cycles_per_command=64),
+        )
+        kernel = SimKernel(watchdog=dog, time_skip=True)
+        kernel.register(Pulse("busy", range(0, 1000, 10)))
+        with pytest.raises(SimulationTimeout):
+            kernel.run(lambda: False)
+        assert dog.last_checked == dog.cycle_limit + 1

@@ -159,6 +159,30 @@ def test_paper_sweep_bit_identical(system, kernel):
             assert a == b, (system, kernel, stride, alignment.name)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("system", PVA_SYSTEMS)
+def test_paper_grid_bit_identical_at_paper_size(system):
+    """The exact section-6.2 grid the artifacts are built from — every
+    kernel x stride x alignment at 1024 elements: the two backends
+    return equal RunResults (cycles, gathered data, latencies, device
+    and bus statistics) and equal attribution ledgers."""
+    base = SystemParams()
+    for kernel in KERNELS:
+        for stride in PAPER_STRIDES:
+            for alignment in ALIGNMENTS:
+                trace = build_trace(
+                    kernel_by_name(kernel),
+                    stride=stride,
+                    alignment=alignment,
+                    elements=1024,
+                    params=base,
+                )
+                tick, fast = run_both(trace, base, system)
+                point = (system, kernel, stride, alignment.name)
+                assert tick == fast, point
+                assert tick.attribution == fast.attribution, point
+
+
 @pytest.mark.parametrize("policy", ROW_POLICIES)
 def test_every_row_policy(policy):
     """Each ManageRow variant is mirrored decision for decision."""
